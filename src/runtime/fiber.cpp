@@ -1,15 +1,18 @@
 #include "runtime/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <utility>
 
-// AddressSanitizer cannot follow swapcontext on its own: every switch must be
-// bracketed with __sanitizer_start_switch_fiber / __sanitizer_finish_switch_
-// fiber or ASan reports bogus stack-buffer-overflows from the foreign stack
-// (and its fake-stack GC may free live frames). The macros below compile to
-// nothing outside ASan builds.
+// AddressSanitizer cannot follow a stack switch on its own: every switch must
+// be bracketed with __sanitizer_start_switch_fiber / __sanitizer_finish_
+// switch_fiber or ASan reports bogus stack-buffer-overflows from the foreign
+// stack (and its fake-stack GC may free live frames). The macros below
+// compile to nothing outside ASan builds.
 #if defined(__SANITIZE_ADDRESS__)
 #define WSF_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -18,15 +21,23 @@
 #endif
 #endif
 
+// A finished fiber's trampoline frame never returns, so its redzones stay
+// poisoned in ASan's shadow of the stack; WSF_ASAN_UNPOISON clears such
+// stale poison before memory is written outside any frame (a rebound
+// fiber's initial frame) or handed back to the system.
 #ifdef WSF_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #define WSF_ASAN_START_SWITCH(save, bottom, size) \
   __sanitizer_start_switch_fiber((save), (bottom), (size))
 #define WSF_ASAN_FINISH_SWITCH(saved, bottom, size) \
   __sanitizer_finish_switch_fiber((saved), (bottom), (size))
+#define WSF_ASAN_UNPOISON(addr, size) \
+  __asan_unpoison_memory_region((addr), (size))
 #else
 #define WSF_ASAN_START_SWITCH(save, bottom, size) ((void)0)
 #define WSF_ASAN_FINISH_SWITCH(saved, bottom, size) ((void)0)
+#define WSF_ASAN_UNPOISON(addr, size) ((void)0)
 #endif
 
 // ThreadSanitizer likewise needs each stack switch announced through
@@ -53,13 +64,108 @@
 #define WSF_TSAN_SWITCH(f) ((void)0)
 #endif
 
+#if defined(__x86_64__)
+
+// The x86-64 System V context switch, as top-level asm (the project is
+// C++-only, so it has no assembler source files).
+//
+// wsf_fiber_switch(void** save_sp, void* load_sp) pushes everything the ABI
+// makes callee-saved — rbx, rbp, r12-r15, and the control bits of MXCSR and
+// the x87 control word — stores the stack pointer to *save_sp, loads
+// load_sp, pops the same frame from there and returns into whatever pushed
+// it. Caller-saved registers need no saving: to the compiler this is an
+// ordinary opaque call. The frame, from the saved stack pointer up:
+//   +0 x87 control word  +8 MXCSR  +16 r15  +24 r14  +32 r13  +40 r12
+//   +48 rbx  +56 rbp  +64 return address
+//
+// wsf_fiber_entry is where a fresh fiber's first switch returns to (resume()
+// builds that frame): it calls the trampoline held in r13 with the Fiber*
+// held in r12. Its CFI marks the return address undefined, so unwinders and
+// debuggers stop at the base of the fiber stack.
+//
+// CET shadow stacks (opt-in in glibc) are not supported: the shadow stack
+// never saw the calls these rets return from.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl wsf_fiber_switch
+  .hidden wsf_fiber_switch
+  .type wsf_fiber_switch, @function
+wsf_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size wsf_fiber_switch, .-wsf_fiber_switch
+
+  .p2align 4
+  .globl wsf_fiber_entry
+  .hidden wsf_fiber_entry
+  .type wsf_fiber_entry, @function
+wsf_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size wsf_fiber_entry, .-wsf_fiber_entry
+  .popsection
+)");
+
+extern "C" {
+__attribute__((visibility("hidden"))) void wsf_fiber_switch(void** save_sp,
+                                                            void* load_sp);
+__attribute__((visibility("hidden"))) void wsf_fiber_entry();
+}
+
+#endif  // __x86_64__
+
 namespace wsf::runtime {
 
-Fiber::Fiber(FiberFn fn, std::size_t stack_bytes)
-    : fn_(std::move(fn)), stack_bytes_(stack_bytes) {
-  WSF_REQUIRE(stack_bytes_ >= 16 * 1024, "fiber stack too small");
-  stack_ = static_cast<char*>(std::malloc(stack_bytes_));
-  WSF_CHECK(stack_ != nullptr, "fiber stack allocation failed");
+namespace {
+
+/// Saves the running context into *from and continues *to.
+inline void switch_context(Fiber::Context* from, Fiber::Context* to) {
+#if defined(__x86_64__)
+  wsf_fiber_switch(&from->sp, to->sp);
+#else
+  WSF_CHECK(swapcontext(from, to) == 0, "swapcontext failed");
+#endif
+}
+
+}  // namespace
+
+Fiber::Fiber(FiberFn fn, std::size_t stack_bytes) : fn_(std::move(fn)) {
+  WSF_REQUIRE(stack_bytes >= 16 * 1024, "fiber stack too small");
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  stack_bytes_ = (stack_bytes + page - 1) / page * page;
+  mapping_bytes_ = stack_bytes_ + page;
+  void* m = mmap(nullptr, mapping_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  WSF_CHECK(m != MAP_FAILED, "fiber stack allocation failed");
+  mapping_ = static_cast<char*>(m);
+  // Stacks grow down: the guard page is the lowest page of the mapping.
+  WSF_CHECK(mprotect(mapping_, page, PROT_NONE) == 0,
+            "fiber guard page protection failed");
+  stack_ = mapping_ + page;
   tsan_fiber_ = WSF_TSAN_CREATE();
 }
 
@@ -67,7 +173,9 @@ Fiber::~Fiber() {
   WSF_CHECK(!started_ || finished_,
             "destroying a live fiber (suspended mid-execution)");
   WSF_TSAN_DESTROY(tsan_fiber_);
-  std::free(stack_);
+  WSF_ASAN_UNPOISON(stack_, stack_bytes_);
+  WSF_CHECK(munmap(mapping_, mapping_bytes_) == 0,
+            "fiber stack release failed");
 }
 
 void Fiber::rebind(FiberFn fn) {
@@ -78,33 +186,58 @@ void Fiber::rebind(FiberFn fn) {
   return_to_ = nullptr;
 }
 
+#if defined(__x86_64__)
+void Fiber::trampoline(Fiber* self) {
+#else
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* self = reinterpret_cast<Fiber*>(
       (static_cast<std::uintptr_t>(hi) << 32) |
       static_cast<std::uintptr_t>(lo));
+#endif
   // First instructions on the fiber stack: complete the switch that
   // resume() started, learning the resumer's stack extent for suspend().
+  // Nothing may run before this — in particular no call ASan could treat as
+  // noreturn, whose stack unpoisoning would still use the resumer's bounds.
   WSF_ASAN_FINISH_SWITCH(nullptr, &self->resumer_stack_, &self->resumer_size_);
-  self->run();
-  // Returning from a makecontext function with uc_link == nullptr would
-  // terminate the thread; instead mark finished and switch back.
+  self->fn_();
+  // Returning would fall off the base of the fiber stack; instead mark
+  // finished and switch back for good.
   self->finished_ = true;
-  ucontext_t* back = self->return_to_;
-  ucontext_t dummy;
   // nullptr fake-stack save: this fiber is done, let ASan release its frames.
   WSF_ASAN_START_SWITCH(nullptr, self->resumer_stack_, self->resumer_size_);
   WSF_TSAN_SWITCH(self->resumer_tsan_);
-  swapcontext(&dummy, back);  // never returns
+  switch_context(&self->context_, self->return_to_);  // never returns
   WSF_CHECK(false, "resumed a finished fiber");
 }
 
-void Fiber::run() { fn_(*this); }
-
-void Fiber::resume(ucontext_t* from) {
+void Fiber::resume(Context* from) {
   WSF_REQUIRE(!finished_, "resume of a finished fiber");
   return_to_ = from;
   if (!started_) {
     started_ = true;
+#if defined(__x86_64__)
+    // The 9 words wsf_fiber_switch pops (see above) under 2 words of
+    // padding, so that its ret enters wsf_fiber_entry with the stack 16-byte
+    // aligned, as after a call: the entry stub's own call then gives the
+    // trampoline the ABI's entry alignment. A fresh fiber inherits the
+    // resumer's floating-point control state, as it would with makecontext;
+    // rbp = 0 ends frame-pointer backtraces here.
+    constexpr std::size_t kFrameWords = 11;
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpu_cw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpu_cw));
+    auto* top = reinterpret_cast<std::uintptr_t*>(stack_ + stack_bytes_);
+    std::uintptr_t* frame = top - kFrameWords;
+    WSF_ASAN_UNPOISON(frame, kFrameWords * sizeof(std::uintptr_t));
+    std::fill(frame, top, 0);  // r15, r14, rbx, rbp and the padding
+    frame[0] = fpu_cw;
+    frame[1] = mxcsr;
+    frame[4] = reinterpret_cast<std::uintptr_t>(&trampoline);       // r13
+    frame[5] = reinterpret_cast<std::uintptr_t>(this);              // r12
+    frame[8] = reinterpret_cast<std::uintptr_t>(&wsf_fiber_entry);  // ret
+    context_.sp = frame;
+#else
     WSF_CHECK(getcontext(&context_) == 0, "getcontext failed");
     context_.uc_stack.ss_sp = stack_;
     context_.uc_stack.ss_size = stack_bytes_;
@@ -113,20 +246,20 @@ void Fiber::resume(ucontext_t* from) {
     makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
                 2, static_cast<unsigned>(self >> 32),
                 static_cast<unsigned>(self & 0xffffffffu));
+#endif
   }
   resumer_tsan_ = WSF_TSAN_CURRENT();
   WSF_ASAN_START_SWITCH(&resumer_fake_stack_, stack_, stack_bytes_);
   WSF_TSAN_SWITCH(tsan_fiber_);
-  WSF_CHECK(swapcontext(from, &context_) == 0, "swapcontext failed");
+  switch_context(from, &context_);
   // Back on the resumer's stack (the fiber suspended or finished).
   WSF_ASAN_FINISH_SWITCH(resumer_fake_stack_, nullptr, nullptr);
 }
 
 void Fiber::suspend() {
-  ucontext_t* back = return_to_;
   WSF_ASAN_START_SWITCH(&fiber_fake_stack_, resumer_stack_, resumer_size_);
   WSF_TSAN_SWITCH(resumer_tsan_);
-  WSF_CHECK(swapcontext(&context_, back) == 0, "swapcontext failed");
+  switch_context(&context_, return_to_);
   // Resumed again, possibly from a different worker thread: refresh the
   // resumer stack extent before the next suspension.
   WSF_ASAN_FINISH_SWITCH(fiber_fake_stack_, &resumer_stack_, &resumer_size_);

@@ -20,8 +20,8 @@ thread_local Fiber* tl_fiber = nullptr;
 }  // namespace
 
 // noinline: fiber code must re-read these after suspension points, because a
-// fiber can resume on a different worker thread (ucontext does not switch
-// TLS).
+// fiber can resume on a different worker thread (a fiber switch does not
+// switch TLS).
 __attribute__((noinline)) Worker* current_worker() noexcept {
   return tl_worker;
 }
@@ -199,8 +199,7 @@ Job* Worker::steal_from(std::uint32_t victim) {
   return steal_buf_[0];
 }
 
-Fiber* Worker::acquire_fiber(support::MoveOnlyFunction<void()> body) {
-  auto wrapped = [body = std::move(body)](Fiber&) mutable { body(); };
+Fiber* Worker::acquire_fiber(FiberFn body) {
   std::unique_ptr<Fiber> f;
   if (!fiber_pool_.empty()) {
     f = std::move(fiber_pool_.back());
@@ -209,12 +208,12 @@ Fiber* Worker::acquire_fiber(support::MoveOnlyFunction<void()> body) {
     f = sched_.take_free_fiber();
   }
   if (f) {
-    f->rebind(std::move(wrapped));
+    f->rebind(std::move(body));
     counters_.stacks_reused++;
     return f.release();
   }
   counters_.fibers_created++;
-  return new Fiber(std::move(wrapped), stack_bytes_);
+  return new Fiber(std::move(body), stack_bytes_);
 }
 
 void Worker::recycle(Fiber* f) {
@@ -689,8 +688,7 @@ void Scheduler::drain() {
 
 void Scheduler::prewarm(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i)
-    push_free_fiber(
-        std::make_unique<Fiber>([](Fiber&) {}, opts_.stack_bytes));
+    push_free_fiber(std::make_unique<Fiber>([] {}, opts_.stack_bytes));
 }
 
 void Scheduler::push_free_fiber(std::unique_ptr<Fiber> f) {

@@ -323,7 +323,7 @@ class Worker {
   void run_fiber(Fiber* f);
   /// Consumes the pending handoff (counting it), nullptr when none is set.
   Fiber* take_handoff();
-  Fiber* acquire_fiber(support::MoveOnlyFunction<void()> body);
+  Fiber* acquire_fiber(FiberFn body);
   void recycle(Fiber* f);
   void publish_pending_park();
 
@@ -356,7 +356,7 @@ class Worker {
   std::vector<Job*> steal_buf_;
 
   // Scheduler-context scratch used by the suspend protocols.
-  ucontext_t sched_ctx_{};
+  Fiber::Context sched_ctx_{};
   Fiber* handoff_ = nullptr;
   std::unique_ptr<Job> pending_child_;
   Fiber* pending_continuation_ = nullptr;
