@@ -200,13 +200,13 @@ Job* Worker::steal_from(std::uint32_t victim) {
 }
 
 Fiber* Worker::acquire_fiber(FiberFn body) {
-  std::unique_ptr<Fiber> f;
-  if (!fiber_pool_.empty()) {
-    f = std::move(fiber_pool_.back());
-    fiber_pool_.pop_back();
-  } else {
-    f = sched_.take_free_fiber();
-  }
+  std::unique_ptr<Fiber> f = take_stack();
+  // Borrow one stack, never more: stacks then only ever sit in some
+  // worker's list or in a live fiber, so a scan that finds every list empty
+  // means every stack is in use.
+  const std::uint32_t n = sched_.num_workers();
+  for (std::uint32_t d = 1; !f && d < n; ++d)
+    f = sched_.workers_[(id_ + d) % n]->take_stack();
   if (f) {
     f->rebind(std::move(body));
     counters_.stacks_reused++;
@@ -216,29 +216,28 @@ Fiber* Worker::acquire_fiber(FiberFn body) {
   return new Fiber(std::move(body), stack_bytes_);
 }
 
-void Worker::recycle(Fiber* f) {
+void Worker::recycle(std::unique_ptr<Fiber> f) {
   // Ownership follows the finisher: whichever worker ran the fiber to
-  // completion pools its stack. (The previous design kept ownership with
-  // the *creating* worker, so a fiber that finished elsewhere after a
-  // migration was never recycled and its stack lived until scheduler
-  // shutdown — unbounded growth under a sustained job stream.) A small
-  // local cache keeps the common case lock-free; everything beyond it
-  // goes to the scheduler-wide free list so one worker cannot strand
-  // stacks the others need.
-  constexpr std::size_t kLocalFiberCache = 2;
-  std::unique_ptr<Fiber> owned(f);
-  if (fiber_pool_.size() < kLocalFiberCache) {
-    fiber_pool_.push_back(std::move(owned));
-    return;
-  }
-  sched_.push_free_fiber(std::move(owned));
+  // completion keeps its stack, on its own list. A fiber that migrated
+  // thus moves its stack to the thief's list; the victim, once its own
+  // list runs dry, borrows one back in acquire_fiber.
+  support::LockGuard lock(stacks_mutex_);
+  free_stacks_.push_back(std::move(f));
+}
+
+std::unique_ptr<Fiber> Worker::take_stack() {
+  support::LockGuard lock(stacks_mutex_);
+  if (free_stacks_.empty()) return nullptr;
+  std::unique_ptr<Fiber> f = std::move(free_stacks_.back());
+  free_stacks_.pop_back();
+  return f;
 }
 
 void Worker::execute(Job* job) {
   // Everything the work item does — spawns, parks, wakes, handoffs — is
   // charged to its job: those edges never cross job boundaries (futures
   // are touched within the job that spawned them).
-  current_job_ = std::move(job->job);
+  current_job_ = job->job;
   Fiber* f = nullptr;
   if (job->kind == Job::Kind::Fresh) {
     // First Fresh task of the job == the root starting: stamp queue time
@@ -285,9 +284,13 @@ void Worker::run_fiber(Fiber* f) {
     // scheduler context never migrates.
     Fiber* next = nullptr;
     if (f->finished()) {
-      sched_.task_finished(*current_job_);
       next = take_handoff();
-      recycle(f);
+      recycle(std::unique_ptr<Fiber>(f));
+      // Last: if this was the job's final task, the job may be freed inside
+      // task_finished (a handed-off waiter is an unfinished task of the
+      // same job, so when there is one the job survives this call). The
+      // stack is back on a list before anyone can see the job done.
+      sched_.task_finished(*current_job_);
     } else {
       // The fiber suspended: a future-first spawn, a touch-first yield
       // (switch_to without a park state), or a park (possibly a yield-park
@@ -411,12 +414,17 @@ Scheduler::~Scheduler() {
   // the uncontended acquire is cheaper than carving out an exemption.
   support::LockGuard lock(inbox_mutex_);
   for (auto& bucket : inbox_)
-    for (detail::Job* j : bucket) delete j;
+    for (detail::Job* j : bucket) {
+      detail::JobState* js = j->job;
+      delete j;
+      js->keep_alive.reset();  // the job will never resolve
+    }
 }
 
 std::shared_ptr<detail::JobState> Scheduler::make_job_state(
     const JobOptions& opts) {
   auto js = std::make_shared<detail::JobState>();
+  js->keep_alive = js;
   js->submitted = std::chrono::steady_clock::now();
   js->priority = opts.priority;
   if (opts.deadline.count() > 0) js->deadline = js->submitted + opts.deadline;
@@ -526,7 +534,7 @@ void Scheduler::abandon(std::unique_ptr<detail::Job> job) {
   // Staged but never admitted (its Batch was destroyed): jobs_in_flight_
   // was never incremented. Mark the job done so its handle's wait()
   // returns — and throws, because the future state is unfulfilled.
-  std::shared_ptr<detail::JobState> js = std::move(job->job);
+  detail::JobState* js = job->job;
   job.reset();
   finish_without_run(*js, JobOutcome::Abandoned, /*was_admitted=*/false);
 }
@@ -555,6 +563,7 @@ void Scheduler::finish_without_run(detail::JobState& js, JobOutcome outcome,
     }
   }
   quiescent_cv_.notify_all();
+  js.keep_alive.reset();  // may free js: nothing below may touch it
 }
 
 detail::Job* Scheduler::take_injected(detail::Worker& taker) {
@@ -613,7 +622,7 @@ detail::Job* Scheduler::take_injected(detail::Worker& taker) {
   // client reading WorkerCounters must already see its job's shed.
   if (n_shed > 0) taker.counters().shed += n_shed;
   for (std::size_t i = 0; i < n_shed; ++i) {
-    std::shared_ptr<detail::JobState> js = std::move(shed[i]->job);
+    detail::JobState* js = shed[i]->job;
     delete shed[i];
     finish_without_run(*js, JobOutcome::Shed, /*was_admitted=*/true);
   }
@@ -664,6 +673,7 @@ void Scheduler::complete_job(detail::JobState& js) {
     jobs_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
   quiescent_cv_.notify_all();
+  js.keep_alive.reset();  // may free js: nothing below may touch it
 }
 
 void Scheduler::wait_job(detail::JobState& js) {
@@ -688,20 +698,8 @@ void Scheduler::drain() {
 
 void Scheduler::prewarm(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i)
-    push_free_fiber(std::make_unique<Fiber>([] {}, opts_.stack_bytes));
-}
-
-void Scheduler::push_free_fiber(std::unique_ptr<Fiber> f) {
-  support::LockGuard lock(fiber_free_mutex_);
-  fiber_free_.push_back(std::move(f));
-}
-
-std::unique_ptr<Fiber> Scheduler::take_free_fiber() {
-  support::LockGuard lock(fiber_free_mutex_);
-  if (fiber_free_.empty()) return nullptr;
-  std::unique_ptr<Fiber> f = std::move(fiber_free_.back());
-  fiber_free_.pop_back();
-  return f;
+    workers_[i % workers_.size()]->recycle(
+        std::make_unique<Fiber>([] {}, opts_.stack_bytes));
 }
 
 CountersReport Scheduler::counters() const {

@@ -217,8 +217,10 @@ struct AdmissionStats {
 namespace detail {
 
 /// Completion state of one submitted job (a root closure plus everything
-/// it spawned). Shared between the submitting thread's JobHandle and every
-/// work item belonging to the job.
+/// it spawned). Owned by the submitting thread's JobHandle and by the
+/// scheduler's keep_alive reference; the job's work items point at it with
+/// a plain JobState*, so spawning copies no reference count on this one
+/// allocation that every worker running the job touches.
 /// Synchronization: `done` is the job's publication flag — the completing
 /// worker writes every result field (latency_us, delta) *before* its
 /// release-store of done, and readers (JobHandle) check done with an
@@ -260,17 +262,24 @@ struct JobState {
   std::vector<WorkerCounters> baseline;
   /// live − baseline at completion (want_counters only).
   CountersReport delta;
+  /// The scheduler's reference to this state, so it outlives every work
+  /// item even after all JobHandles are dropped. Set by make_job_state;
+  /// released as the last statement of complete_job and finish_without_run,
+  /// or by try_submit when admission fails. Once it is released, no worker
+  /// may touch the job again.
+  std::shared_ptr<JobState> keep_alive;
 };
 
 /// A unit of deque work: either a fresh task (closure not yet started) or a
-/// suspended fiber to resume. Every work item belongs to a job, whose
-/// completion it keeps alive.
+/// suspended fiber to resume. Every work item belongs to a job and holds it
+/// by plain pointer: the item is an unfinished task of that job, and a job
+/// with an unfinished task cannot complete and drop its keep_alive.
 struct Job {
   enum class Kind : std::uint8_t { Fresh, Resume };
   Kind kind;
   support::MoveOnlyFunction<void()> run;  // Fresh
   Fiber* fiber = nullptr;     // Resume
-  std::shared_ptr<JobState> job;
+  JobState* job = nullptr;
 };
 
 class Worker {
@@ -323,17 +332,26 @@ class Worker {
   void run_fiber(Fiber* f);
   /// Consumes the pending handoff (counting it), nullptr when none is set.
   Fiber* take_handoff();
-  Fiber* acquire_fiber(FiberFn body);
-  void recycle(Fiber* f);
+  /// A stack for `body`: from this worker's free list, else borrowed from
+  /// the first peer in ring order whose list is nonempty; a new stack is
+  /// created only when every list was empty.
+  Fiber* acquire_fiber(FiberFn body) WSF_EXCLUDES(stacks_mutex_);
+  /// Pushes a finished (or prewarmed, never-started) fiber onto this
+  /// worker's free list.
+  void recycle(std::unique_ptr<Fiber> f) WSF_EXCLUDES(stacks_mutex_);
+  /// Pops a stack off this worker's free list; nullptr when it is empty.
+  /// Called by the owner and by peers whose own list is empty.
+  std::unique_ptr<Fiber> take_stack() WSF_EXCLUDES(stacks_mutex_);
   void publish_pending_park();
 
   // ---- false-sharing layout (audited by tests/test_false_sharing.cpp) ----
-  // The deque indices and the counters are the only Worker state other
-  // threads touch (thieves CAS deque_.top_; snapshot readers scan
-  // counters_). Both are line-aligned — their types already force this, but
-  // the explicit alignas pins the intent against type changes — so the cold
-  // header fields above deque_ and the owner-only scratch below counters_
-  // never share a line with cross-thread traffic.
+  // The deque indices, the counters and the stack list are the only Worker
+  // state other threads touch (thieves CAS deque_.top_; snapshot readers
+  // scan counters_; peers borrow from the stack list). Each is
+  // line-aligned — the first two types already force this, but the
+  // explicit alignas pins the intent against type changes — so the cold
+  // header fields above deque_ and the owner-only scratch below the stack
+  // list never share a line with cross-thread traffic.
   Scheduler& sched_;
   std::uint32_t id_;
   std::size_t stack_bytes_;
@@ -342,11 +360,19 @@ class Worker {
   alignas(64) ChaseLevDeque<Job*> deque_;
   support::Xoshiro256 rng_;
   alignas(64) WorkerCounters counters_;
+  /// This worker's free fiber stacks, unbounded: whichever worker finishes
+  /// a fiber pushes its stack here, and peers borrow from it only when
+  /// their own list is empty, so no stack is stranded while another worker
+  /// creates one.
+  alignas(64) support::Mutex stacks_mutex_;
+  std::vector<std::unique_ptr<Fiber>> free_stacks_
+      WSF_GUARDED_BY(stacks_mutex_);
 
   // ---- owner-only steal-loop state ----
   static constexpr std::uint32_t kNoVictim = ~std::uint32_t{0};
-  /// Last worker a steal succeeded from (VictimPolicy::LastVictim).
-  std::uint32_t last_victim_ = kNoVictim;
+  /// Last worker a steal succeeded from (VictimPolicy::LastVictim). Starts
+  /// a new line so the owner's scratch never shares one with the stack list.
+  alignas(64) std::uint32_t last_victim_ = kNoVictim;
   /// Consecutive find_work rounds that ended in a failed steal; drives the
   /// capped exponential backoff and resets on any acquired work.
   std::uint32_t failed_steal_streak_ = 0;
@@ -365,11 +391,9 @@ class Worker {
   /// The job whose work item execute() is currently running. Every edge a
   /// running fiber creates (spawned children, pushed continuations, parked
   /// wakes, handoffs) stays within its own job — futures never cross job
-  /// boundaries — so the whole run_fiber chain charges this job.
-  std::shared_ptr<JobState> current_job_;
-  /// Small same-thread stack cache; overflow goes to the scheduler-wide
-  /// free list so one worker cannot strand stacks other workers need.
-  std::vector<std::unique_ptr<Fiber>> fiber_pool_;
+  /// boundaries — so the whole run_fiber chain charges this job. Dangling
+  /// once the job's final task_finished has run: the job may be freed.
+  JobState* current_job_ = nullptr;
 };
 
 /// The worker the calling thread belongs to, nullptr outside the pool.
@@ -482,7 +506,7 @@ class Scheduler {
     auto state = std::make_shared<detail::FutureState<R>>();
     auto job = make_job(state, std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = make_job_state(opts);
-    job->job = js;
+    job->job = js.get();
     inject(std::move(job));
     return JobHandle<R>(this, std::move(state), std::move(js));
   }
@@ -506,10 +530,13 @@ class Scheduler {
     auto state = std::make_shared<detail::FutureState<R>>();
     auto job = make_job(state, std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = make_job_state(opts);
-    job->job = js;
+    job->job = js.get();
     detail::Job* raw = job.get();
     const SubmitStatus st = admit(&raw, 1, admit_opts);
-    if (st != SubmitStatus::Admitted) return {st, JobHandle<R>{}};
+    if (st != SubmitStatus::Admitted) {
+      js->keep_alive.reset();  // never admitted: nothing will resolve it
+      return {st, JobHandle<R>{}};
+    }
     job.release();  // ownership passed to the inbox by admit()
     return {st, JobHandle<R>(this, std::move(state), std::move(js))};
   }
@@ -530,12 +557,13 @@ class Scheduler {
   /// draining extend the wait.)
   void drain() WSF_EXCLUDES(quiescent_mutex_);
 
-  /// Pre-provisions `count` fiber stacks into the scheduler-wide free
-  /// list — capacity planning for a known admission burst, so a load run
-  /// reaches zero steady-state stack allocation deterministically instead
-  /// of relying on warmup having touched the peak. Acquiring a prewarmed
-  /// stack counts as stacks_reused; prewarming itself counts nothing.
-  void prewarm(std::size_t count) WSF_EXCLUDES(fiber_free_mutex_);
+  /// Pre-provisions `count` fiber stacks, dealt round-robin onto the
+  /// workers' free lists — capacity planning for a known admission burst,
+  /// so a load run reaches zero steady-state stack allocation
+  /// deterministically instead of relying on warmup having touched the
+  /// peak. Acquiring a prewarmed stack counts as stacks_reused; prewarming
+  /// itself counts nothing.
+  void prewarm(std::size_t count);
 
   SpawnPolicy policy() const { return opts_.policy; }
   std::uint32_t num_workers() const {
@@ -601,9 +629,9 @@ class Scheduler {
   template <typename R>
   friend class JobHandle;
 
-  /// Allocates the completion state for a new job (stamps the admission
-  /// time and absolute deadline; snapshots counter baselines when
-  /// opts.counters).
+  /// Allocates the completion state for a new job, with its keep_alive set
+  /// (stamps the admission time and absolute deadline; snapshots counter
+  /// baselines when opts.counters).
   std::shared_ptr<detail::JobState> make_job_state(const JobOptions& opts);
   void inject(std::unique_ptr<detail::Job> job)
       WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
@@ -629,8 +657,9 @@ class Scheduler {
   void abandon(std::unique_ptr<detail::Job> job)
       WSF_EXCLUDES(quiescent_mutex_);
   /// Resolves a job that will never run (Shed or Abandoned): stamps its
-  /// latency/queue time, publishes the outcome + done flag, and — when the
-  /// job had been admitted — retires it from jobs_in_flight_.
+  /// latency/queue time, publishes the outcome + done flag, retires it from
+  /// jobs_in_flight_ when it had been admitted, and releases its
+  /// keep_alive.
   void finish_without_run(detail::JobState& js, JobOutcome outcome,
                           bool was_admitted)
       WSF_EXCLUDES(quiescent_mutex_);
@@ -643,13 +672,6 @@ class Scheduler {
   void task_finished(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
   void complete_job(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
   void wait_job(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
-
-  /// Fiber-stack free list shared by all workers: recycled stacks beyond a
-  /// worker's small local cache land here, so steady-state load re-uses
-  /// stacks instead of growing per-worker pools.
-  void push_free_fiber(std::unique_ptr<Fiber> f)
-      WSF_EXCLUDES(fiber_free_mutex_);
-  std::unique_ptr<Fiber> take_free_fiber() WSF_EXCLUDES(fiber_free_mutex_);
 
   RuntimeOptions opts_;
   /// Immutable after the constructor returns (and the constructor starts
@@ -709,10 +731,6 @@ class Scheduler {
   support::CondVar idle_cv_;
   std::atomic<std::uint64_t> work_epoch_{0};
 
-  support::Mutex fiber_free_mutex_;
-  std::vector<std::unique_ptr<Fiber>> fiber_free_
-      WSF_GUARDED_BY(fiber_free_mutex_);
-
   /// Serves JobHandle::wait() and drain(). Completion events are rare
   /// (once per job), so one scheduler-wide cv is enough. Guards no members
   /// directly: the waited-on state (JobState::done, jobs_in_flight_) is
@@ -744,7 +762,7 @@ class Batch {
     auto state = std::make_shared<detail::FutureState<R>>();
     auto job = Scheduler::make_job(state, std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = sched_->make_job_state(opts);
-    job->job = js;
+    job->job = js.get();
     staged_.push_back(std::move(job));
     return JobHandle<R>(sched_, std::move(state), std::move(js));
   }

@@ -2,13 +2,14 @@
 //
 // The compile-time half verifies the memory layout the runtime relies on:
 // the Chase–Lev deque's thief-shared indices, the per-worker counter
-// blocks, and the Worker object itself keep cross-thread traffic on its own
-// cache lines (offsets asserted below and in runtime/chase_lev.hpp /
-// runtime/counters.hpp). The run-time half is a stress test that hammers
-// adjacent workers' counters while a monitoring thread snapshots them —
-// under ThreadSanitizer (ctest label `runtime`, CI tsan job) this proves
-// the single-writer relaxed-counter discipline is race-free even when
-// neighbouring workers update as fast as they can.
+// blocks, the peer-locked fiber-stack list, and the Worker object itself
+// keep cross-thread traffic on its own cache lines (offsets asserted below
+// and in runtime/chase_lev.hpp / runtime/counters.hpp). The run-time half
+// is a stress test that hammers adjacent workers' counters while a
+// monitoring thread snapshots them — under ThreadSanitizer (ctest label
+// `runtime`, CI tsan job) this proves the single-writer relaxed-counter
+// discipline is race-free even when neighbouring workers update as fast as
+// they can.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,9 +32,20 @@ struct WorkerAudit {
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
   static constexpr std::size_t deque = offsetof(Worker, deque_);
   static constexpr std::size_t counters = offsetof(Worker, counters_);
+  static constexpr std::size_t stacks_mutex = offsetof(Worker, stacks_mutex_);
+  static constexpr std::size_t stacks_end =
+      offsetof(Worker, free_stacks_) + sizeof(Worker::free_stacks_);
+  static constexpr std::size_t owner_only = offsetof(Worker, last_victim_);
   static constexpr std::size_t scratch = offsetof(Worker, sched_ctx_);
 #pragma GCC diagnostic pop
 };
+
+/// True when the byte ranges [a, a + a_bytes) and [b, b + b_bytes) touch no
+/// common 64-byte line.
+constexpr bool disjoint_lines(std::size_t a, std::size_t a_bytes,
+                              std::size_t b, std::size_t b_bytes) {
+  return (a + a_bytes - 1) / 64 < b / 64 || (b + b_bytes - 1) / 64 < a / 64;
+}
 
 // The deque (and with it its thief-CASed top_ index) starts on a cache
 // line, so the cold header fields (sched_, id_, stack_bytes_) never bounce
@@ -50,6 +62,24 @@ static_assert(WorkerAudit::counters % 64 == 0,
 static_assert(WorkerAudit::scratch / 64 >
                   (WorkerAudit::counters + sizeof(WorkerCounters) - 1) / 64,
               "suspend-protocol scratch must not share the counters' lines");
+// Peers lock the fiber-stack list when their own list is empty, so the
+// list (its mutex and the vector it guards) must not share a line with the
+// thief-CASed deque, the snapshot-read counters, or the owner-only state
+// after it.
+constexpr std::size_t kStackListBytes =
+    WorkerAudit::stacks_end - WorkerAudit::stacks_mutex;
+static_assert(WorkerAudit::stacks_mutex % 64 == 0,
+              "stack-list mutex must start on a cache line");
+static_assert(disjoint_lines(WorkerAudit::stacks_mutex, kStackListBytes,
+                             WorkerAudit::deque,
+                             sizeof(ChaseLevDeque<Job*>)),
+              "stack list must not share the deque's lines");
+static_assert(disjoint_lines(WorkerAudit::stacks_mutex, kStackListBytes,
+                             WorkerAudit::counters, sizeof(WorkerCounters)),
+              "stack list must not share the counters' lines");
+static_assert(WorkerAudit::owner_only / 64 >
+                  (WorkerAudit::stacks_end - 1) / 64,
+              "owner-only state must not share the stack list's lines");
 // Inside the deque: each shared index on its own line (re-asserted here so
 // the audit is complete in one file; primary asserts in chase_lev.hpp).
 static_assert(ChaseLevAudit::top / 64 != ChaseLevAudit::bottom / 64);
@@ -64,6 +94,7 @@ TEST(FalseSharingAudit, CompileTimeLayout) {
   // so a layout change shows up in the test log, not just a compile error.
   EXPECT_EQ(detail::WorkerAudit::deque % 64, 0u);
   EXPECT_EQ(detail::WorkerAudit::counters % 64, 0u);
+  EXPECT_EQ(detail::WorkerAudit::stacks_mutex % 64, 0u);
   EXPECT_EQ(alignof(WorkerCounters), 64u);
   EXPECT_EQ(sizeof(WorkerCounters) % 64, 0u);
   EXPECT_EQ(ChaseLevAudit::top % 64, 0u);

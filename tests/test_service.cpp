@@ -1,10 +1,11 @@
 // Scheduler-as-a-service lifecycle: repeated and concurrent jobs on one
 // long-lived Scheduler (per-job completion tracking), batched admission,
-// abandoned-batch semantics, steady-state fiber-stack reuse across a 10k
-// job stream, per-job counter snapshots, multi-tenant interleaving (two
-// graphs replayed concurrently keep their standalone deviation counts),
-// and the process-wide SharedScheduler registry. Runs under the tsan
-// preset (label: runtime).
+// abandoned-batch semantics, jobs whose handles were dropped, steady-state
+// fiber-stack reuse across a 10k job stream, stack lending between the
+// workers' free lists, per-job counter snapshots, multi-tenant
+// interleaving (two graphs replayed concurrently keep their standalone
+// deviation counts), and the process-wide SharedScheduler registry. Runs
+// under the tsan preset (label: runtime).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -129,6 +130,26 @@ TEST_P(ServiceBothPolicies, DrainWaitsForFireAndForgetJobs) {
   for (auto& h : handles) EXPECT_TRUE(h.done());
 }
 
+TEST_P(ServiceBothPolicies, DroppedHandleJobStillCompletes) {
+  // Work items point at their job's state without owning it; the
+  // scheduler's own keep-alive reference must hold the state until the
+  // job's last task finishes, even when every handle is dropped while the
+  // jobs are still queued or running. Under ASan a work item that outlives
+  // the state is a heap-use-after-free.
+  runtime::Scheduler sched({.workers = 2, .policy = GetParam()});
+  std::atomic<int> effects{0};
+  constexpr int kJobs = 64;
+  {
+    std::vector<runtime::JobHandle<void>> handles;
+    for (int i = 0; i < kJobs; ++i)
+      handles.push_back(sched.submit([&effects] {
+        effects.fetch_add(tree_sum(4), std::memory_order_relaxed);
+      }));
+  }
+  sched.drain();
+  EXPECT_EQ(effects.load(), kJobs * (1 << 4));
+}
+
 TEST_P(ServiceBothPolicies, TenThousandJobsReuseFiberStacksAtSteadyState) {
   // The fiber-return-path regression (stacks of migrated fibers used to
   // strand in their creating worker's live set until shutdown, so
@@ -160,6 +181,28 @@ TEST_P(ServiceBothPolicies, TenThousandJobsReuseFiberStacksAtSteadyState) {
       << "steady-state jobs allocated fiber stacks (pool not recycling)";
   // Every job's tasks ran on a recycled stack: ≥ 3 fibers per job.
   EXPECT_GE(delta.stacks_reused, static_cast<std::uint64_t>(3 * kJobs));
+}
+
+/// A chain of `depth` spawns: each level spawns one child and touches it,
+/// so all depth + 1 tasks are live at once before the leaf returns.
+int chain(int depth) {
+  if (depth == 0) return 1;
+  auto child = runtime::spawn([depth] { return chain(depth - 1); });
+  return child.touch() + 1;
+}
+
+TEST_P(ServiceBothPolicies, PeersLendStacksBeforeAnyIsCreated) {
+  // prewarm deals 6 stacks round-robin, 2 onto each worker's list. The
+  // chain's 6 tasks are all live at once and none finishes during the
+  // descent, so a worker whose own list runs dry must borrow from its
+  // peers: creating a stack here would mean one sat unused on another
+  // worker's list.
+  runtime::Scheduler sched({.workers = 3, .policy = GetParam()});
+  sched.prewarm(6);
+  EXPECT_EQ(sched.run([] { return chain(5); }), 6);
+  const runtime::WorkerCounters t = sched.counters().total();
+  EXPECT_EQ(t.fibers_created, 0u);
+  EXPECT_EQ(t.stacks_reused, 6u);
 }
 
 TEST_P(ServiceBothPolicies, PerJobCountersReconcileInIsolation) {

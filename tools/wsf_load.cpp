@@ -333,7 +333,7 @@ LoadStats run_load(const LoadConfig& cfg) {
   // or rejecting warmup jobs would leave the stack pool cold. Peak demand
   // is stochastic (it depends on how parks and steals interleave), so warm
   // until a full round creates no new stack, then pre-provision a slack
-  // margin that absorbs both per-worker local caches and scheduling
+  // margin, dealt across the workers' free lists, that absorbs scheduling
   // variance.
   LoadConfig warm_cfg = cfg;
   warm_cfg.admit = runtime::SubmitPolicy::Block;
