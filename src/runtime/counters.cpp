@@ -33,6 +33,7 @@ void for_each_field(WorkerCounters& a, const WorkerCounters& b, F&& f) {
   f(a.batch_steals, b.batch_steals);
   f(a.batch_stolen_items, b.batch_stolen_items);
   f(a.steal_backoffs, b.steal_backoffs);
+  f(a.outstanding_rmws, b.outstanding_rmws);
 }
 
 // Saturating subtraction: a counters() snapshot racing a concurrent
@@ -84,7 +85,8 @@ std::string CountersReport::to_string() const {
      << " cont_pushed=" << t.continuations_pushed
      << " wakes=" << t.wakes_pushed << " switches=" << t.fiber_resumes
      << " shed=" << t.shed << " batch_steals=" << t.batch_steals << "/"
-     << t.batch_stolen_items << " backoffs=" << t.steal_backoffs;
+     << t.batch_stolen_items << " backoffs=" << t.steal_backoffs
+     << " outstanding_rmws=" << t.outstanding_rmws;
   return os.str();
 }
 

@@ -147,6 +147,10 @@ struct alignas(64) WorkerCounters {
   /// Backoff episodes: a worker slept (capped exponential) after a run of
   /// consecutive failed steal rounds. Counts episodes, not spins.
   RelaxedCounter steal_backoffs;
+  /// Read-modify-writes on a job's shared outstanding count: one per spawn
+  /// that found no finish credit to spend, plus one per credit flush. The
+  /// rest of the spawns and finishes never leave the worker.
+  RelaxedCounter outstanding_rmws;
 
   WorkerCounters& operator+=(const WorkerCounters& o);
   /// Field-wise saturating difference, for reporting counts since a

@@ -107,6 +107,10 @@ Job* Worker::find_work() {
     failed_steal_streak_ = 0;
     return j;
   }
+  // Nothing local left: the finished tasks' credits go back to their job
+  // before this worker takes new work, steals or parks, so no job waits on
+  // an idle worker.
+  flush_credits();
   if (Job* j = sched_.take_injected(*this)) {
     counters_.inbox_takes++;
     failed_steal_streak_ = 0;
@@ -234,6 +238,9 @@ std::unique_ptr<Fiber> Worker::take_stack() {
 }
 
 void Worker::execute(Job* job) {
+  // Credits are per job: switching to another job's item flushes them, or
+  // a finished job whose last tasks ran here would wait on this item.
+  if (credits_ > 0 && job->job != credit_job_) flush_credits();
   // Everything the work item does — spawns, parks, wakes, handoffs — is
   // charged to its job: those edges never cross job boundaries (futures
   // are touched within the job that spawned them).
@@ -286,11 +293,14 @@ void Worker::run_fiber(Fiber* f) {
     if (f->finished()) {
       next = take_handoff();
       recycle(std::unique_ptr<Fiber>(f));
-      // Last: if this was the job's final task, the job may be freed inside
-      // task_finished (a handed-off waiter is an unfinished task of the
-      // same job, so when there is one the job survives this call). The
-      // stack is back on a list before anyone can see the job done.
-      sched_.task_finished(*current_job_);
+      // The finish touches no shared word: it becomes a credit that this
+      // worker's next spawn of the job spends, or that flush_credits
+      // subtracts when work leaves the worker (see JobState::outstanding).
+      // The stack is back on a list before the job can be seen done.
+      WSF_DCHECK(credits_ == 0 || credit_job_ == current_job_,
+                 "execute() left another job's credits unflushed");
+      credit_job_ = current_job_;
+      ++credits_;
     } else {
       // The fiber suspended: a future-first spawn, a touch-first yield
       // (switch_to without a park state), or a park (possibly a yield-park
@@ -338,9 +348,26 @@ void Worker::publish_pending_park() {
   }
 }
 
+void Worker::count_spawn() {
+  if (credits_ > 0 && credit_job_ == current_job_) {
+    --credits_;  // a task this worker finished pays for the new one
+    return;
+  }
+  counters_.outstanding_rmws++;
+  sched_.task_started(*current_job_);
+}
+
+void Worker::flush_credits() {
+  if (credits_ == 0) return;
+  counters_.outstanding_rmws++;
+  // Both cleared first: the flush may complete and free the job.
+  sched_.tasks_finished(*std::exchange(credit_job_, nullptr),
+                        std::exchange(credits_, 0));
+}
+
 void Worker::spawn_future_first(Fiber& parent, std::unique_ptr<Job> child) {
   child->job = current_job_;
-  sched_.task_started(*current_job_);
+  count_spawn();
   pending_child_ = std::move(child);
   pending_continuation_ = &parent;
   parent.suspend();
@@ -350,7 +377,7 @@ void Worker::spawn_future_first(Fiber& parent, std::unique_ptr<Job> child) {
 
 void Worker::spawn_parent_first(std::unique_ptr<Job> child) {
   child->job = current_job_;
-  sched_.task_started(*current_job_);
+  count_spawn();
   deque_.push_bottom(child.release());
 }
 
@@ -635,11 +662,14 @@ detail::Job* Scheduler::take_injected(detail::Worker& taker) {
   return first;
 }
 
-void Scheduler::task_finished(detail::JobState& js) {
-  // acq_rel: the release half publishes this task's effects to whichever
-  // thread performs the final decrement; the acquire half makes the final
-  // decrementer see every other task's effects before completing the job.
-  if (js.outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1)
+void Scheduler::tasks_finished(detail::JobState& js, std::uint64_t n) {
+  // acq_rel: the release half publishes the effects of every task this
+  // worker's credits stand for (program order, or the deque/future edges
+  // that carried a credit-paid child) to whichever thread performs the
+  // final decrement; the acquire half makes the final decrementer see, via
+  // the release sequence of every earlier RMW on the count, every other
+  // task's effects before completing the job.
+  if (js.outstanding.fetch_sub(n, std::memory_order_acq_rel) == n)
     complete_job(js);
 }
 

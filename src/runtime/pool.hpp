@@ -15,9 +15,12 @@
 //
 // The scheduler is a long-lived service: worker threads start once and then
 // serve a *stream* of jobs. A job is one root closure plus everything it
-// spawns; each job's completion is tracked independently (per-job
-// outstanding-task count), so concurrent submitters never wait on each
-// other's work. Admission goes through a FIFO inbox; idle workers park on a
+// spawns; each job's completion is tracked independently, so concurrent
+// submitters never wait on each other's work. The per-job count moves only
+// when work leaves a worker: a finished task becomes a credit on its worker,
+// the worker's next spawn of the same job spends it, and what is left is
+// subtracted in one step when the worker runs out of local work or switches
+// jobs. Admission goes through a FIFO inbox; idle workers park on a
 // condition variable and are woken by admission, so a pool of idle
 // schedulers costs ~no CPU.
 //
@@ -228,10 +231,25 @@ namespace detail {
 /// want_counters/submitted/baseline are written once at admission, before
 /// the job is visible to any worker, and read-only afterwards.
 struct JobState {
-  /// Tasks of this job not yet finished (the root counts as one).
-  /// fetch_add is relaxed (only the count matters while running);
-  /// fetch_sub is acq_rel so the final decrement orders every task's
-  /// effects before completion (see Scheduler::task_finished).
+  /// Invariant: outstanding == the job's unfinished tasks (the root counts
+  /// as one) + the finish credits every worker holds for the job (see
+  /// Worker::credits_). A spawn either spends one of its worker's credits
+  /// or does a relaxed fetch_add(1) before the child is visible; a finish
+  /// only adds a credit; Worker::flush_credits subtracts a worker's
+  /// credits with one acq_rel fetch_sub (Scheduler::tasks_finished).
+  /// Hence:
+  ///   * the count reaches zero only at the last flush, after every task
+  ///     has finished;
+  ///   * a worker holding credits keeps the job alive, so its credit_job_
+  ///     never dangles while it has credits;
+  ///   * each finished task's effects happen-before its worker's next
+  ///     flush (program order) or the finish of a later task its credit
+  ///     paid for, which reaches other workers only through deque or future
+  ///     synchronization; the last flush reads the release sequence of every
+  ///     earlier RMW here, so it sees every task's effects.
+  /// Increments are never deferred: a child stolen before its spawn was
+  /// counted could finish and flush the count to zero while its parent
+  /// still runs.
   std::atomic<std::uint64_t> outstanding{1};
   /// Set (release, under quiescent_mutex_ for the cv protocol) exactly
   /// once, by the completing worker or by Scheduler::abandon.
@@ -332,6 +350,14 @@ class Worker {
   void run_fiber(Fiber* f);
   /// Consumes the pending handoff (counting it), nullptr when none is set.
   Fiber* take_handoff();
+  /// Counts a spawn of current_job_: spends a credit when this worker holds
+  /// one for the job, else increments the job's outstanding count.
+  void count_spawn();
+  /// Subtracts the held credits from credit_job_'s outstanding count in one
+  /// RMW (completing the job when that was the last of it) and clears them.
+  /// Called when work leaves this worker: its deque is empty, or the next
+  /// work item belongs to another job.
+  void flush_credits();
   /// A stack for `body`: from this worker's free list, else borrowed from
   /// the first peer in ring order whose list is nonempty; a new stack is
   /// created only when every list was empty.
@@ -381,6 +407,13 @@ class Worker {
   /// Scratch buffer for ChaseLevDeque::steal_batch claims.
   std::vector<Job*> steal_buf_;
 
+  // Finish credits (see JobState::outstanding): tasks of credit_job_ that
+  // this worker finished and has not yet subtracted from its count. While
+  // credits_ > 0 they hold credit_job_ open, so the pointer stays valid;
+  // flush_credits clears both.
+  JobState* credit_job_ = nullptr;
+  std::uint64_t credits_ = 0;
+
   // Scheduler-context scratch used by the suspend protocols.
   Fiber::Context sched_ctx_{};
   Fiber* handoff_ = nullptr;
@@ -391,8 +424,10 @@ class Worker {
   /// The job whose work item execute() is currently running. Every edge a
   /// running fiber creates (spawned children, pushed continuations, parked
   /// wakes, handoffs) stays within its own job — futures never cross job
-  /// boundaries — so the whole run_fiber chain charges this job. Dangling
-  /// once the job's final task_finished has run: the job may be freed.
+  /// boundaries — so the whole run_fiber chain charges this job. Its tasks'
+  /// finishes become this worker's credits, which keep it alive; once the
+  /// flush that takes its count to zero has run, it dangles (the job may be
+  /// freed) until execute() sets the next item's job.
   JobState* current_job_ = nullptr;
 };
 
@@ -666,10 +701,13 @@ class Scheduler {
 
   void task_started(detail::JobState& js) {
     // relaxed: only the count matters while the job runs; the completing
-    // decrement (acq_rel in task_finished) provides the ordering.
+    // decrement (acq_rel in tasks_finished) provides the ordering.
     js.outstanding.fetch_add(1, std::memory_order_relaxed);
   }
-  void task_finished(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
+  /// Subtracts `n` finished tasks (one worker's flushed credits) from the
+  /// job's count and completes the job when that leaves none.
+  void tasks_finished(detail::JobState& js, std::uint64_t n)
+      WSF_EXCLUDES(quiescent_mutex_);
   void complete_job(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
   void wait_job(detail::JobState& js) WSF_EXCLUDES(quiescent_mutex_);
 

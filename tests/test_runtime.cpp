@@ -2,6 +2,7 @@
 // both spawn policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <string>
@@ -17,11 +18,24 @@ std::uint64_t fib_seq(std::uint64_t n) {
   return n < 2 ? n : fib_seq(n - 1) + fib_seq(n - 2);
 }
 
-std::uint64_t fib_par(std::uint64_t n) {
-  if (n < 10) return fib_seq(n);
-  auto left = spawn([n] { return fib_par(n - 1); });
-  const std::uint64_t right = fib_par(n - 2);
+/// Below `cutoff` the recursion runs sequentially, spawning nothing.
+std::uint64_t fib_par(std::uint64_t n, std::uint64_t cutoff = 10) {
+  if (n < cutoff) return fib_seq(n);
+  auto left = spawn([n, cutoff] { return fib_par(n - 1, cutoff); });
+  const std::uint64_t right = fib_par(n - 2, cutoff);
   return left.touch() + right;
+}
+
+/// Sets slots[lo, hi) to `value` from a tree of futures that nobody
+/// touches: each task spawns its left half and recurses into its right.
+void fill_untouched(int* slots, int lo, int hi, int value) {
+  if (hi - lo == 1) {
+    slots[lo] = value;
+    return;
+  }
+  const int mid = lo + (hi - lo) / 2;
+  (void)spawn([=] { fill_untouched(slots, lo, mid, value); });
+  fill_untouched(slots, mid, hi, value);
 }
 
 class RuntimeBothPolicies : public ::testing::TestWithParam<SpawnPolicy> {};
@@ -120,6 +134,18 @@ TEST_P(RuntimeBothPolicies, SideEffectTasksFinishBeforeRunReturns) {
       (void)spawn([&done] { done.fetch_add(1); });
   });
   EXPECT_EQ(done.load(), 50);
+  // ...and it sees their plain writes too: job completion must order every
+  // untouched task's effects before run() returns (TSan checks the
+  // ordering, not just the values).
+  constexpr int kSlots = 256;
+  for (int round = 1; round <= 20; ++round) {
+    std::vector<int> slots(kSlots, 0);
+    sched.run([&slots, round] {
+      fill_untouched(slots.data(), 0, kSlots, round);
+    });
+    EXPECT_EQ(std::count(slots.begin(), slots.end(), round), kSlots)
+        << "round " << round;
+  }
 }
 
 TEST_P(RuntimeBothPolicies, ExceptionsPropagateThroughTouch) {
@@ -321,6 +347,36 @@ TEST_P(Accounting, SingleWorkerHasNoSteals) {
   EXPECT_EQ(t.batch_stolen_items, 0u);
   EXPECT_EQ(t.steal_backoffs, 0u);
   EXPECT_EQ(t.migrations, 0u);
+  expect_reconciled(t, 1);
+}
+
+TEST_P(Accounting, SharedCountMovesOnlyWhenWorkLeavesAWorker) {
+  // A spawn spends a finish credit its worker already holds instead of
+  // incrementing the job's shared count. On one worker a spawn finds no
+  // credit only when it lifts the number of live tasks to a new peak (16
+  // for fib_par(24): the root down to the fib_par(9) task), and the job
+  // ends in one flush: 15 + 1 RMWs, where counting every spawn and every
+  // finish would take 3,193.
+  {
+    RuntimeOptions opts;
+    opts.workers = 1;
+    opts.policy = GetParam();
+    Scheduler sched(opts);
+    (void)sched.run([] { return fib_par(24); });
+    const auto t = sched.counters().total();
+    EXPECT_EQ(t.spawns, 1596u);
+    EXPECT_EQ(t.outstanding_rmws, 16u);
+  }
+  // On several workers the count moves when work leaves a worker (roughly
+  // per steal), not per spawn.
+  RuntimeOptions opts;
+  opts.workers = 3;
+  opts.policy = GetParam();
+  Scheduler sched(opts);
+  EXPECT_EQ(sched.run([] { return fib_par(22, 2); }), 17711u);
+  const auto t = sched.counters().total();
+  EXPECT_LT(t.outstanding_rmws, t.spawns / 10)
+      << "spawns=" << t.spawns << " steals=" << t.steals;
   expect_reconciled(t, 1);
 }
 

@@ -1,6 +1,7 @@
 // Scheduler-as-a-service lifecycle: repeated and concurrent jobs on one
 // long-lived Scheduler (per-job completion tracking), batched admission,
-// abandoned-batch semantics, jobs whose handles were dropped, steady-state
+// abandoned-batch semantics, jobs whose handles were dropped, a job that
+// completes while its worker runs another job, steady-state
 // fiber-stack reuse across a 10k job stream, stack lending between the
 // workers' free lists, per-job counter snapshots, multi-tenant
 // interleaving (two graphs replayed concurrently keep their standalone
@@ -148,6 +149,33 @@ TEST_P(ServiceBothPolicies, DroppedHandleJobStillCompletes) {
   }
   sched.drain();
   EXPECT_EQ(effects.load(), kJobs * (1 << 4));
+}
+
+TEST_P(ServiceBothPolicies, FinishedJobCompletesWhileItsWorkerRunsAnotherJob) {
+  // A worker's finish credits belong to one job, and a job completes only
+  // once every worker has flushed its credits for it. The one worker takes
+  // both jobs in one inbox take, so `gated` sits on its deque under
+  // `quick`'s items: `quick` completes only if the worker flushes its
+  // credits when it switches to `gated`, which then runs until released.
+  runtime::Scheduler sched({.workers = 1, .policy = GetParam()});
+  std::atomic<bool> release{false};
+  runtime::Batch batch(sched);
+  auto quick = batch.add([] { return tree_sum(3); });
+  auto gated = batch.add([&release] {
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    return 42;
+  });
+  sched.submit(std::move(batch));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!quick.done() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(quick.done()) << "a finished job waited on its worker's "
+                               "next job";
+  release.store(true, std::memory_order_release);
+  EXPECT_EQ(quick.wait(), 1 << 3);
+  EXPECT_EQ(gated.wait(), 42);
 }
 
 TEST_P(ServiceBothPolicies, TenThousandJobsReuseFiberStacksAtSteadyState) {
