@@ -77,7 +77,7 @@ class RelaxedCounter {
 ///     like take_injected's admission batching — and are later acquired
 ///     as local_pops, so the identity closes unchanged. Jobs moved out of
 ///     other workers' deques total steals + batch_stolen_items.)
-///   * every Resume job that was created was executed:
+///   * every Resume item that was pushed was executed:
 ///       resumes == continuations_pushed + wakes_pushed
 ///   * every park is resolved by exactly one wake:
 ///       parked_touches == handoff_runs + wakes_pushed
@@ -116,17 +116,17 @@ struct alignas(64) WorkerCounters {
   RelaxedCounter local_pops;
   /// Jobs taken from the scheduler inbox (one per Scheduler::run call).
   RelaxedCounter inbox_takes;
-  /// Resume jobs executed (suspended fibers continued from a deque).
+  /// Resume items executed (suspended fibers continued from a deque).
   RelaxedCounter resumes;
   /// Future-first children run directly, without ever entering a deque.
   RelaxedCounter inline_children;
   /// Fibers run directly from a handoff: a parked consumer woken by its
   /// producer, or the immediate wake after a lost park race.
   RelaxedCounter handoff_runs;
-  /// Resume jobs created for suspended continuations (future-first spawns
+  /// Resume items pushed for suspended continuations (future-first spawns
   /// and touch-first yields).
   RelaxedCounter continuations_pushed;
-  /// Parked fibers woken by pushing a Resume job instead of a handoff
+  /// Parked fibers woken by pushing their Resume item instead of a handoff
   /// (continuation-first wakes and lost-park fallbacks).
   RelaxedCounter wakes_pushed;
   /// Context switches into a fiber (the replay layer's "fiber switches"

@@ -80,6 +80,9 @@ class Fiber {
   /// Scheduler scratch: an opaque pointer slot the owner may use (e.g. to
   /// chain parked fibers).
   void* user_data = nullptr;
+  /// A second scratch slot (the scheduler keeps the work item the fiber is
+  /// running here).
+  void* user_item = nullptr;
 
  private:
 #if defined(__x86_64__)

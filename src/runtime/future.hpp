@@ -15,6 +15,14 @@
 // fully suspended* (see Worker::publish_pending_park), which closes the
 // resume-before-suspend race; producer and consumer linearize on one
 // exchange/CAS pair.
+//
+// Ownership: a spawned or submitted task is one heap block (detail::Task in
+// pool.hpp) holding its deque work item, this state and the closure. The
+// block has two references: the producing task's, dropped right after it
+// publishes its result (or by the scheduler when the task will never run),
+// and the consuming Future's or JobHandle's, dropped when the handle is
+// destroyed or reassigned, or when touch() returns. Whichever side releases
+// last frees the block.
 #pragma once
 
 #include <atomic>
@@ -40,8 +48,22 @@ inline constexpr std::uintptr_t kReady = 1;
 struct FutureStateBase {
   std::atomic<std::uintptr_t> state{kEmpty};
   std::exception_ptr error;
+  /// References to the enclosing task block: the producer's and the
+  /// consumer's (see the header). Unused by states that are not part of a
+  /// task block, such as the graph replay's touch events.
+  std::atomic<std::uint32_t> refs{2};
 
   virtual ~FutureStateBase() = default;
+
+  /// Drops one reference; the last one frees the whole block (the virtual
+  /// destructor reaches the enclosing task).
+  void release() {
+    // acq_rel: the release half orders this side's accesses to the block
+    // (the producer's result and publish, the consumer's take) before its
+    // decrement; the acquire half makes whichever side frees the block see
+    // the other side's accesses first, so the destructor races with none.
+    if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
 
   bool ready() const {
     // acquire pairs with publish_ready's release half: observing kReady
@@ -79,7 +101,7 @@ struct FutureStateBase {
 };
 
 template <typename T>
-struct FutureState final : FutureStateBase {
+struct FutureState : FutureStateBase {
   alignas(T) unsigned char storage[sizeof(T)];
 
   template <typename U>
@@ -102,7 +124,17 @@ struct FutureState final : FutureStateBase {
 };
 
 template <>
-struct FutureState<void> final : FutureStateBase {};
+struct FutureState<void> : FutureStateBase {};
+
+/// Deleter that drops a handle's reference instead of deleting.
+struct ReleaseRef {
+  void operator()(FutureStateBase* state) const { state->release(); }
+};
+
+/// A consumer's reference to a task block's state, as Future and JobHandle
+/// hold it: a raw pointer that releases on destruction and reassignment.
+template <typename T>
+using StateRef = std::unique_ptr<FutureState<T>, ReleaseRef>;
 
 /// Implemented in pool.cpp: parks the calling fiber until the state is
 /// ready (counts the touch; may return immediately if already ready).
@@ -117,8 +149,8 @@ template <typename T>
 class Future {
  public:
   Future() = default;
-  explicit Future(std::shared_ptr<detail::FutureState<T>> state)
-      : state_(std::move(state)) {}
+  /// Adopts the consumer's reference to a task block's state.
+  explicit Future(detail::FutureState<T>* state) : state_(state) {}
 
   Future(Future&&) noexcept = default;
   Future& operator=(Future&&) noexcept = default;
@@ -148,7 +180,7 @@ class Future {
   }
 
  private:
-  std::shared_ptr<detail::FutureState<T>> state_;
+  detail::StateRef<T> state_;
 };
 
 }  // namespace wsf::runtime

@@ -203,7 +203,9 @@ Job* Worker::steal_from(std::uint32_t victim) {
   return steal_buf_[0];
 }
 
-Fiber* Worker::acquire_fiber(FiberFn body) {
+Fiber* Worker::acquire_fiber(Job* task) {
+  // One pointer: the entry closure fits MoveOnlyFunction's inline storage.
+  FiberFn body = [task] { task->run(task); };
   std::unique_ptr<Fiber> f = take_stack();
   // Borrow one stack, never more: stacks then only ever sit in some
   // worker's list or in a live fiber, so a scan that finds every list empty
@@ -214,10 +216,14 @@ Fiber* Worker::acquire_fiber(FiberFn body) {
   if (f) {
     f->rebind(std::move(body));
     counters_.stacks_reused++;
-    return f.release();
+  } else {
+    counters_.fibers_created++;
+    f = std::make_unique<Fiber>(std::move(body), stack_bytes_);
   }
-  counters_.fibers_created++;
-  return new Fiber(std::move(body), stack_bytes_);
+  // From here on the task's work item stands for its suspended fiber.
+  task->fiber = f.get();
+  f->user_item = task;
+  return f.release();
 }
 
 void Worker::recycle(std::unique_ptr<Fiber> f) {
@@ -246,8 +252,8 @@ void Worker::execute(Job* job) {
   // are touched within the job that spawned them).
   current_job_ = job->job;
   Fiber* f = nullptr;
-  if (job->kind == Job::Kind::Fresh) {
-    // First Fresh task of the job == the root starting: stamp queue time
+  if (job->fiber == nullptr) {
+    // First fresh task of the job == the root starting: stamp queue time
     // (admission → first run). Children are created only after the root
     // ran, and they reach other workers through deque push/steal edges
     // that order this store before their load — so the stamp has a single
@@ -264,13 +270,14 @@ void Worker::execute(Job* job) {
           std::memory_order_relaxed);  // see above
     }
     counters_.tasks_run++;
-    f = acquire_fiber(std::move(job->run));
+    f = acquire_fiber(job);
   } else {
     f = job->fiber;
     counters_.resumes++;
     if (f->user_data != this) counters_.migrations++;
   }
-  delete job;
+  // The item belongs to its task's block: it is not freed here, and once
+  // the fiber finishes it may already be gone.
   run_fiber(f);
 }
 
@@ -307,19 +314,16 @@ void Worker::run_fiber(Fiber* f) {
       // combined with a handoff — see switch_to).
       if (pending_continuation_) {
         // Now that the fiber is truly suspended, make its continuation
-        // stealable, then run the fresh child (future-first spawn) or the
-        // handed-off waiter (touch-first yield).
-        auto* resume =
-            new Job{Job::Kind::Resume, {},
-                    std::exchange(pending_continuation_, nullptr),
-                    current_job_};
-        deque_.push_bottom(resume);
+        // stealable — its task's own work item, reused as its Resume item —
+        // then run the fresh child (future-first spawn) or the handed-off
+        // waiter (touch-first yield).
+        Fiber* cont = std::exchange(pending_continuation_, nullptr);
+        deque_.push_bottom(static_cast<Job*>(cont->user_item));
         counters_.continuations_pushed++;
         if (pending_child_) {
           counters_.tasks_run++;
           counters_.inline_children++;
-          next = acquire_fiber(std::move(pending_child_->run));
-          pending_child_.reset();
+          next = acquire_fiber(std::exchange(pending_child_, nullptr));
         } else {
           next = take_handoff();
         }
@@ -365,20 +369,20 @@ void Worker::flush_credits() {
                         std::exchange(credits_, 0));
 }
 
-void Worker::spawn_future_first(Fiber& parent, std::unique_ptr<Job> child) {
+void Worker::spawn_future_first(Fiber& parent, Job* child) {
   child->job = current_job_;
   count_spawn();
-  pending_child_ = std::move(child);
+  pending_child_ = child;
   pending_continuation_ = &parent;
   parent.suspend();
   // Resumed (possibly on another worker after a steal) — nothing to do;
   // the caller must re-read current_worker().
 }
 
-void Worker::spawn_parent_first(std::unique_ptr<Job> child) {
+void Worker::spawn_parent_first(Job* child) {
   child->job = current_job_;
   count_spawn();
-  deque_.push_bottom(child.release());
+  deque_.push_bottom(child);
 }
 
 void Worker::park_on(FutureStateBase& state, Fiber& f) {
@@ -393,7 +397,7 @@ void Worker::set_handoff(Fiber* f) {
 }
 
 void Worker::push_resume(Fiber* f) {
-  deque_.push_bottom(new Job{Job::Kind::Resume, {}, f, current_job_});
+  deque_.push_bottom(static_cast<Job*>(f->user_item));
   counters_.wakes_pushed++;
 }
 
@@ -443,7 +447,7 @@ Scheduler::~Scheduler() {
   for (auto& bucket : inbox_)
     for (detail::Job* j : bucket) {
       detail::JobState* js = j->job;
-      delete j;
+      j->result->release();  // the producer's reference: it will never run
       js->keep_alive.reset();  // the job will never resolve
     }
 }
@@ -463,11 +467,9 @@ std::shared_ptr<detail::JobState> Scheduler::make_job_state(
   return js;
 }
 
-void Scheduler::inject(std::unique_ptr<detail::Job> job) {
-  detail::Job* raw = job.get();
-  const SubmitStatus st = admit(&raw, 1, AdmitOptions{});
+void Scheduler::inject(detail::Job* job) {
+  const SubmitStatus st = admit(&job, 1, AdmitOptions{});
   WSF_CHECK(st == SubmitStatus::Admitted, "Block admission cannot fail");
-  job.release();  // the inbox owns it now
 }
 
 void Scheduler::submit(Batch&& batch) {
@@ -480,13 +482,10 @@ SubmitStatus Scheduler::try_submit(Batch& batch,
   WSF_REQUIRE(batch.sched_ == this,
               "batch was staged for a different scheduler");
   if (batch.staged_.empty()) return SubmitStatus::Admitted;
-  std::vector<detail::Job*> raw;
-  raw.reserve(batch.staged_.size());
-  for (const auto& job : batch.staged_) raw.push_back(job.get());
-  const SubmitStatus st = admit(raw.data(), raw.size(), admit_opts);
+  const SubmitStatus st =
+      admit(batch.staged_.data(), batch.staged_.size(), admit_opts);
   if (st != SubmitStatus::Admitted) return st;  // batch left intact
-  for (auto& job : batch.staged_) job.release();  // the inbox owns them now
-  batch.staged_.clear();
+  batch.staged_.clear();  // the inbox holds the producer references now
   return st;
 }
 
@@ -557,12 +556,12 @@ SubmitStatus Scheduler::admit(detail::Job** jobs, std::size_t n,
   return SubmitStatus::Admitted;
 }
 
-void Scheduler::abandon(std::unique_ptr<detail::Job> job) {
+void Scheduler::abandon(detail::Job* job) {
   // Staged but never admitted (its Batch was destroyed): jobs_in_flight_
   // was never incremented. Mark the job done so its handle's wait()
   // returns — and throws, because the future state is unfulfilled.
   detail::JobState* js = job->job;
-  job.reset();
+  job->result->release();  // the producer's reference: it will never run
   finish_without_run(*js, JobOutcome::Abandoned, /*was_admitted=*/false);
 }
 
@@ -650,7 +649,7 @@ detail::Job* Scheduler::take_injected(detail::Worker& taker) {
   if (n_shed > 0) taker.counters().shed += n_shed;
   for (std::size_t i = 0; i < n_shed; ++i) {
     detail::JobState* js = shed[i]->job;
-    delete shed[i];
+    shed[i]->result->release();  // the producer's reference: never runs
     finish_without_run(*js, JobOutcome::Shed, /*was_admitted=*/true);
   }
   // The extras become ordinary deque work (stealable); their acquisition

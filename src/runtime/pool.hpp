@@ -13,6 +13,14 @@
 // Every task runs on its own fiber (pooled stacks), so continuations are
 // first-class and can be stolen like any other work item.
 //
+// A task is one heap block (detail::Task): its deque work item, its future
+// state and its closure. The work item is also its fiber's Resume item: a
+// suspended fiber sits on at most one deque at a time, so pushing its
+// continuation or waking it from a park reuses the item and allocates
+// nothing. The closure's captures live until the block is freed, when both
+// the task has finished and its Future or JobHandle is gone, not until the
+// fiber's stack is next rebound. A spawn thus makes one heap allocation.
+//
 // The scheduler is a long-lived service: worker threads start once and then
 // serve a *stream* of jobs. A job is one root closure plus everything it
 // spawns; each job's completion is tracked independently, so concurrent
@@ -57,7 +65,6 @@
 
 #include "core/policy.hpp"
 #include "runtime/chase_lev.hpp"
-#include "support/move_only_function.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/future.hpp"
@@ -288,15 +295,23 @@ struct JobState {
   std::shared_ptr<JobState> keep_alive;
 };
 
-/// A unit of deque work: either a fresh task (closure not yet started) or a
-/// suspended fiber to resume. Every work item belongs to a job and holds it
-/// by plain pointer: the item is an unfinished task of that job, and a job
-/// with an unfinished task cannot complete and drop its keep_alive.
+/// A unit of deque work: the work item embedded in every Task. Fresh until
+/// a worker starts the task on a fiber; from then on it is that fiber's
+/// Resume item, pushed again whenever the suspended fiber becomes runnable
+/// (a suspended fiber sits on at most one deque at a time). Every work item
+/// belongs to a job and holds it by plain pointer: the item is an
+/// unfinished task of that job, and a job with an unfinished task cannot
+/// complete and drop its keep_alive.
 struct Job {
-  enum class Kind : std::uint8_t { Fresh, Resume };
-  Kind kind;
-  support::MoveOnlyFunction<void()> run;  // Fresh
-  Fiber* fiber = nullptr;     // Resume
+  /// Runs the task body on the calling fiber, publishes its result and
+  /// drops the producer's reference to the block (Task::run_body).
+  void (*run)(Job*) = nullptr;
+  /// The block's future state. A task that will never run (shed, abandoned,
+  /// left in the inbox at shutdown) drops the producer's reference here.
+  FutureStateBase* result = nullptr;
+  /// The fiber the task runs on: nullptr while the item is fresh, set once
+  /// when a worker starts the task.
+  Fiber* fiber = nullptr;
   JobState* job = nullptr;
 };
 
@@ -309,15 +324,15 @@ class Worker {
 
   /// Called by spawn (future-first): defer-push the parent continuation and
   /// hand the fresh child job to the scheduler, then suspend the parent.
-  void spawn_future_first(Fiber& parent, std::unique_ptr<Job> child);
+  void spawn_future_first(Fiber& parent, Job* child);
   /// Called by spawn (parent-first): push the fresh child job.
-  void spawn_parent_first(std::unique_ptr<Job> child);
+  void spawn_parent_first(Job* child);
   /// Called by touch on an unresolved future: park the calling fiber.
   void park_on(FutureStateBase& state, Fiber& f);
   /// Called by a producer that found a parked consumer.
   void set_handoff(Fiber* f);
-  /// Wakes a parked fiber by pushing it onto the deque bottom as a Resume
-  /// job, without suspending the caller (a continuation-first wake).
+  /// Wakes a parked fiber by pushing its Resume item onto the deque bottom,
+  /// without suspending the caller (a continuation-first wake).
   void push_resume(Fiber* f);
   /// Suspends `current` to run `next` immediately (a touch-first wake).
   /// The suspended fiber becomes available again either as a deque Resume
@@ -358,10 +373,11 @@ class Worker {
   /// Called when work leaves this worker: its deque is empty, or the next
   /// work item belongs to another job.
   void flush_credits();
-  /// A stack for `body`: from this worker's free list, else borrowed from
-  /// the first peer in ring order whose list is nonempty; a new stack is
-  /// created only when every list was empty.
-  Fiber* acquire_fiber(FiberFn body) WSF_EXCLUDES(stacks_mutex_);
+  /// A fiber that runs the fresh `task`, whose item becomes the fiber's
+  /// Resume item. The stack comes from this worker's free list, else is
+  /// borrowed from the first peer in ring order whose list is nonempty; a
+  /// new stack is created only when every list was empty.
+  Fiber* acquire_fiber(Job* task) WSF_EXCLUDES(stacks_mutex_);
   /// Pushes a finished (or prewarmed, never-started) fiber onto this
   /// worker's free list.
   void recycle(std::unique_ptr<Fiber> f) WSF_EXCLUDES(stacks_mutex_);
@@ -417,7 +433,7 @@ class Worker {
   // Scheduler-context scratch used by the suspend protocols.
   Fiber::Context sched_ctx_{};
   Fiber* handoff_ = nullptr;
-  std::unique_ptr<Job> pending_child_;
+  Job* pending_child_ = nullptr;
   Fiber* pending_continuation_ = nullptr;
   FutureStateBase* pending_park_state_ = nullptr;
   Fiber* pending_park_fiber_ = nullptr;
@@ -438,6 +454,45 @@ Worker* current_worker() noexcept;
 /// The fiber currently executing on this thread (nullptr on a scheduler
 /// context).
 Fiber* current_fiber() noexcept;
+
+/// One heap block per task: the work item (Job), the future state and the
+/// closure F stored inline. It starts with two references (see future.hpp):
+/// the producer's travels with the work item and is dropped by run_body
+/// right after the publish; the consumer's is adopted by the Future or
+/// JobHandle. The closure, and so its captures, is destroyed when the last
+/// reference goes.
+template <typename R, typename F>
+struct Task final : Job, FutureState<R> {
+  explicit Task(F f) : fn(std::move(f)) {
+    run = &Task::run_body;
+    result = this;
+  }
+
+  static void run_body(Job* item) {
+    auto* self = static_cast<Task*>(item);
+    try {
+      if constexpr (std::is_void_v<R>) {
+        self->fn();
+      } else {
+        self->emplace(self->fn());
+      }
+    } catch (...) {
+      self->error = std::current_exception();
+    }
+    Fiber* waiter = self->publish_ready();
+    // The consumer may already have taken the value and dropped its
+    // reference, so this can free the block, work item included: only
+    // `waiter` and the worker are used below.
+    self->release();
+    if (waiter) {
+      Worker* w = current_worker();
+      w->set_handoff(waiter);
+      w->counters().direct_handoffs++;
+    }
+  }
+
+  F fn;
+};
 
 }  // namespace detail
 
@@ -462,7 +517,8 @@ class JobHandle {
   /// returns the root's result or rethrows its exception. Throws if the
   /// job never ran — shed past its deadline, or abandoned (its Batch was
   /// destroyed before submission); use wait_outcome() to branch without
-  /// exceptions.
+  /// exceptions. For non-void R the first call takes the value, and a
+  /// second call throws wsf::CheckError.
   R wait();
   /// Blocks until the job resolves and reports how, without consuming the
   /// result or throwing — the overload-tolerant wait: callers that expect
@@ -512,12 +568,13 @@ class JobHandle {
  private:
   friend class Scheduler;
   friend class Batch;
-  JobHandle(Scheduler* sched, std::shared_ptr<detail::FutureState<R>> state,
+  /// Adopts the consumer's reference to the root task's state.
+  JobHandle(Scheduler* sched, detail::FutureState<R>* state,
             std::shared_ptr<detail::JobState> job)
-      : sched_(sched), state_(std::move(state)), job_(std::move(job)) {}
+      : sched_(sched), state_(state), job_(std::move(job)) {}
 
   Scheduler* sched_ = nullptr;
-  std::shared_ptr<detail::FutureState<R>> state_;
+  detail::StateRef<R> state_;
   std::shared_ptr<detail::JobState> job_;
 };
 
@@ -537,13 +594,12 @@ class Scheduler {
   template <typename F>
   auto submit(F&& root, const JobOptions& opts = {})
       -> JobHandle<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto state = std::make_shared<detail::FutureState<R>>();
-    auto job = make_job(state, std::forward<F>(root));
+    auto task = make_task(std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = make_job_state(opts);
-    job->job = js.get();
-    inject(std::move(job));
-    return JobHandle<R>(this, std::move(state), std::move(js));
+    task->job = js.get();
+    JobHandle<std::invoke_result_t<F>> handle(this, task.get(), std::move(js));
+    inject(task.release());
+    return handle;
   }
 
   /// Runs `root` to completion inside the pool and returns its result —
@@ -562,18 +618,20 @@ class Scheduler {
                   const AdmitOptions& admit_opts = {})
       -> SubmitResult<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto state = std::make_shared<detail::FutureState<R>>();
-    auto job = make_job(state, std::forward<F>(root));
+    auto task = make_task(std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = make_job_state(opts);
-    job->job = js.get();
-    detail::Job* raw = job.get();
+    task->job = js.get();
+    detail::Job* raw = task.get();
     const SubmitStatus st = admit(&raw, 1, admit_opts);
     if (st != SubmitStatus::Admitted) {
-      js->keep_alive.reset();  // never admitted: nothing will resolve it
+      // Never admitted and no handle made: `task` frees the whole block,
+      // and nothing will resolve the job.
+      js->keep_alive.reset();
       return {st, JobHandle<R>{}};
     }
-    job.release();  // ownership passed to the inbox by admit()
-    return {st, JobHandle<R>(this, std::move(state), std::move(js))};
+    // The inbox holds the producer's reference now; the handle adopts the
+    // consumer's (the block outlives the task even if it already ran).
+    return {st, JobHandle<R>(this, task.release(), std::move(js))};
   }
 
   /// Admits every job staged in `batch` with one queue operation and one
@@ -632,30 +690,15 @@ class Scheduler {
   /// Scheduler-wide — for per-job deltas use JobOptions{.counters = true}.
   void reset_counters();
 
-  /// Wraps a closure and its future state into a fresh deque job. Exposed
-  /// for spawn(); not part of the stable user API.
-  template <typename R, typename F>
-  static std::unique_ptr<detail::Job> make_job(
-      std::shared_ptr<detail::FutureState<R>> state, F&& fn) {
-    auto job = std::make_unique<detail::Job>();
-    job->kind = detail::Job::Kind::Fresh;
-    job->run = [state = std::move(state),
-                fn = std::forward<F>(fn)]() mutable {
-      try {
-        if constexpr (std::is_void_v<R>) {
-          fn();
-        } else {
-          state->emplace(fn());
-        }
-      } catch (...) {
-        state->error = std::current_exception();
-      }
-      if (Fiber* waiter = state->publish_ready()) {
-        detail::current_worker()->set_handoff(waiter);
-        detail::current_worker()->counters().direct_handoffs++;
-      }
-    };
-    return job;
+  /// Allocates a task's one heap block: a fresh work item, its future state
+  /// and the closure. The unique_ptr owns both references until the caller
+  /// hands them out (the producer's with the work item, the consumer's to a
+  /// Future or JobHandle). Exposed for spawn(); not part of the stable user
+  /// API.
+  template <typename F>
+  static auto make_task(F&& fn) {
+    using Block = detail::Task<std::invoke_result_t<F>, std::decay_t<F>>;
+    return std::make_unique<Block>(std::forward<F>(fn));
   }
 
  private:
@@ -668,14 +711,14 @@ class Scheduler {
   /// (stamps the admission time and absolute deadline; snapshots counter
   /// baselines when opts.counters).
   std::shared_ptr<detail::JobState> make_job_state(const JobOptions& opts);
-  void inject(std::unique_ptr<detail::Job> job)
-      WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
+  /// Admits one job under SubmitPolicy::Block; the inbox takes over the
+  /// producer's reference.
+  void inject(detail::Job* job) WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
   /// The one admission gate: applies the capacity bound under
   /// `admit_opts.policy`, then moves all `n` jobs into the priority
-  /// buckets and wakes workers. All-or-nothing; on success ownership of
-  /// the raw pointers passes to the inbox (callers release their
-  /// unique_ptrs), on failure the caller keeps them. Updates the
-  /// admission statistics either way.
+  /// buckets and wakes workers. All-or-nothing; on success the producer's
+  /// references pass to the inbox, on failure the caller keeps them.
+  /// Updates the admission statistics either way.
   SubmitStatus admit(detail::Job** jobs, std::size_t n,
                      const AdmitOptions& admit_opts)
       WSF_EXCLUDES(inbox_mutex_, idle_mutex_);
@@ -688,9 +731,9 @@ class Scheduler {
   detail::Job* take_injected(detail::Worker& taker)
       WSF_EXCLUDES(inbox_mutex_);
   /// Marks a staged-but-never-admitted job completed-without-running so
-  /// its handle's wait() throws instead of hanging.
-  void abandon(std::unique_ptr<detail::Job> job)
-      WSF_EXCLUDES(quiescent_mutex_);
+  /// its handle's wait() throws instead of hanging, and drops the
+  /// producer's reference.
+  void abandon(detail::Job* job) WSF_EXCLUDES(quiescent_mutex_);
   /// Resolves a job that will never run (Shed or Abandoned): stamps its
   /// latency/queue time, publishes the outcome + done flag, retires it from
   /// jobs_in_flight_ when it had been admitted, and releases its
@@ -786,7 +829,7 @@ class Batch {
  public:
   explicit Batch(Scheduler& sched) : sched_(&sched) {}
   ~Batch() {
-    for (auto& job : staged_) sched_->abandon(std::move(job));
+    for (detail::Job* job : staged_) sched_->abandon(job);
   }
   Batch(Batch&&) noexcept = default;
   Batch& operator=(Batch&&) = delete;
@@ -796,13 +839,12 @@ class Batch {
   template <typename F>
   auto add(F&& root, const JobOptions& opts = {})
       -> JobHandle<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto state = std::make_shared<detail::FutureState<R>>();
-    auto job = Scheduler::make_job(state, std::forward<F>(root));
+    auto task = Scheduler::make_task(std::forward<F>(root));
     std::shared_ptr<detail::JobState> js = sched_->make_job_state(opts);
-    job->job = js.get();
-    staged_.push_back(std::move(job));
-    return JobHandle<R>(sched_, std::move(state), std::move(js));
+    task->job = js.get();
+    staged_.push_back(task.get());  // the producer's reference
+    return JobHandle<std::invoke_result_t<F>>(sched_, task.release(),
+                                              std::move(js));
   }
 
   std::size_t size() const { return staged_.size(); }
@@ -811,11 +853,15 @@ class Batch {
  private:
   friend class Scheduler;
   Scheduler* sched_;
-  std::vector<std::unique_ptr<detail::Job>> staged_;
+  /// Staged root work items, each holding its task's producer reference.
+  std::vector<detail::Job*> staged_;
 };
 
 template <typename R>
 R JobHandle<R>::wait() {
+  if constexpr (!std::is_void_v<R>)
+    WSF_REQUIRE(state_ == nullptr || !state_->taken,
+                "second wait() on a JobHandle: its value was already taken");
   const JobOutcome o = wait_outcome();
   WSF_CHECK(o != JobOutcome::Shed, "job was shed: its deadline expired "
             "before it started (use wait_outcome() to handle shedding)");
@@ -870,20 +916,24 @@ class SharedScheduler {
 /// called from inside a task (i.e. on a worker fiber).
 template <typename F>
 auto spawn(F&& fn) -> Future<std::invoke_result_t<F>> {
-  using R = std::invoke_result_t<F>;
   detail::Worker* w = detail::current_worker();
   WSF_REQUIRE(w != nullptr, "spawn() outside the scheduler");
-  auto state = std::make_shared<detail::FutureState<R>>();
-  auto job = Scheduler::make_job(state, std::forward<F>(fn));
-  w->counters().spawns++;
+  Fiber* parent = nullptr;
   if (w->scheduler().policy() == SpawnPolicy::FutureFirst) {
-    Fiber* parent = detail::current_fiber();
+    parent = detail::current_fiber();
     WSF_CHECK(parent != nullptr, "spawn outside a task fiber");
-    w->spawn_future_first(*parent, std::move(job));
-  } else {
-    w->spawn_parent_first(std::move(job));
   }
-  return Future<R>(std::move(state));
+  auto* task = Scheduler::make_task(std::forward<F>(fn)).release();
+  // The future adopts the consumer's reference before the task can run;
+  // the producer's travels with the work item.
+  Future<std::invoke_result_t<F>> future(task);
+  w->counters().spawns++;
+  if (parent != nullptr) {
+    w->spawn_future_first(*parent, task);
+  } else {
+    w->spawn_parent_first(task);
+  }
+  return future;
 }
 
 }  // namespace wsf::runtime

@@ -32,6 +32,9 @@ namespace detail {
 // Builds the optional streamed message lazily, only on failure.
 class CheckMessage {
  public:
+  // User-provided, so CheckMessage{} skips value-initialization's zero fill
+  // of the stream (a `rep stos` in every check's failure branch).
+  CheckMessage() {}  // NOLINT(modernize-use-equals-default)
   template <typename T>
   CheckMessage& operator<<(const T& v) {
     os_ << v;

@@ -38,6 +38,23 @@ void fill_untouched(int* slots, int lo, int hi, int value) {
   fill_untouched(slots, mid, hi, value);
 }
 
+/// A label long enough that std::string keeps it on the heap, so a block
+/// freed too early or never freed shows up under ASan.
+std::string label_text(std::uint64_t label) {
+  return std::to_string(label) + std::string(24, '.');
+}
+
+/// A tree of string tasks in which each task touches its left child and
+/// drops its right child untouched. Returns the labels of the leftmost
+/// path, root first.
+std::string touched_path(int depth, std::uint64_t label) {
+  std::string mine = label_text(label);
+  if (depth == 0) return mine;
+  auto left = spawn([=] { return touched_path(depth - 1, 2 * label); });
+  (void)spawn([=] { return touched_path(depth - 1, 2 * label + 1); });
+  return mine + left.touch();
+}
+
 class RuntimeBothPolicies : public ::testing::TestWithParam<SpawnPolicy> {};
 
 TEST_P(RuntimeBothPolicies, FibIsCorrect) {
@@ -185,6 +202,27 @@ TEST_P(RuntimeBothPolicies, MoveOnlyResults) {
   });
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(*result, 7);
+}
+
+TEST_P(RuntimeBothPolicies, FutureBlocksSurviveEitherReleaseOrder) {
+  // A task's block (work item, future state, closure) is freed by whichever
+  // of producer and consumer lets go last. Touched left children are freed
+  // by the consumer when their value was ready, or by the producer's
+  // release right after its publish; dropped right children mostly by
+  // their producers, possibly on another worker. ASan checks that no block
+  // is used after it is freed or leaked, TSan that the release orders the
+  // other side's accesses.
+  RuntimeOptions opts;
+  opts.workers = 4;
+  opts.policy = GetParam();
+  Scheduler sched(opts);
+  constexpr int kDepth = 10;
+  std::string expected;
+  for (int level = 0; level <= kDepth; ++level)
+    expected += label_text(std::uint64_t{1} << level);
+  for (int round = 0; round < 20; ++round)
+    EXPECT_EQ(sched.run([] { return touched_path(kDepth, 1); }), expected)
+        << "round " << round;
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, RuntimeBothPolicies,

@@ -115,6 +115,20 @@ TEST_P(ServiceBothPolicies, ExceptionPropagatesThroughHandle) {
   EXPECT_EQ(sched.run([] { return tree_sum(3); }), 1 << 3);
 }
 
+TEST_P(ServiceBothPolicies, SecondWaitOnAValueJobFails) {
+  // wait() takes a non-void result, as touch() does: a second call must
+  // fail loudly instead of moving from the already-destroyed value.
+  runtime::Scheduler sched({.workers = 2, .policy = GetParam()});
+  const std::string expected(100, 'x');
+  auto handle = sched.submit([&expected] { return expected; });
+  EXPECT_EQ(handle.wait(), expected);
+  EXPECT_THROW(handle.wait(), CheckError);
+  // The handle still reports how the job ended.
+  EXPECT_TRUE(handle.done());
+  EXPECT_EQ(handle.outcome(), runtime::JobOutcome::Completed);
+  EXPECT_EQ(handle.wait_outcome(), runtime::JobOutcome::Completed);
+}
+
 TEST_P(ServiceBothPolicies, DrainWaitsForFireAndForgetJobs) {
   runtime::Scheduler sched({.workers = 2, .policy = GetParam()});
   std::atomic<int> effects{0};
