@@ -67,7 +67,9 @@ inline bool CacheModel::access(core::BlockId block) {
   return miss;
 }
 
-/// Fully associative LRU cache of `lines` lines — the paper's model.
+/// Fully associative LRU cache of `lines` lines — the paper's model. Like
+/// every model here, it allocates its O(lines) state up front and nothing
+/// per access.
 std::unique_ptr<CacheModel> make_lru(std::size_t lines);
 
 /// Fully associative FIFO cache.

@@ -1,57 +1,85 @@
 #include <cstddef>
-#include <list>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "cache/block_index.hpp"
 #include "cache/cache.hpp"
-#include "support/check.hpp"
 
 namespace wsf::cache {
 namespace {
 
-/// Fully associative LRU: recency list (front = most recent) plus an index
-/// from block to list position. O(1) amortized per access.
+/// Fully associative LRU: C block slots, a u32 prev/next recency list over
+/// them (circular, through a sentinel at index C; next of the sentinel is
+/// the most recent slot, prev the least recent), and the open-addressing
+/// block index. O(1) per access, and no allocation after construction.
 class LruCache final : public CacheModel {
  public:
-  explicit LruCache(std::size_t lines) : lines_(lines) {
-    WSF_REQUIRE(lines_ > 0, "cache needs at least one line");
+  explicit LruCache(std::size_t lines)
+      : index_(lines), prev_(lines + 1), next_(lines + 1) {
+    reset();
   }
 
   void reset() override {
-    recency_.clear();
     index_.clear();
+    used_ = 0;
+    prev_[sentinel()] = next_[sentinel()] = sentinel();
     reset_counters();
   }
 
-  std::size_t capacity() const override { return lines_; }
+  std::size_t capacity() const override { return index_.lines(); }
   std::string name() const override { return "lru"; }
 
   bool contains(core::BlockId block) const override {
-    return index_.count(block) != 0;
+    return index_.find(block) != BlockIndex::kNoSlot;
   }
 
  protected:
   bool lookup_and_insert(core::BlockId block) override {
-    auto it = index_.find(block);
-    if (it != index_.end()) {
-      recency_.splice(recency_.begin(), recency_, it->second);
+    std::uint32_t slot = index_.find(block);
+    if (slot != BlockIndex::kNoSlot) {
+      if (next_[sentinel()] != slot) {
+        unlink(slot);
+        push_front(slot);
+      }
       return false;  // hit
     }
-    if (recency_.size() == lines_) {
-      index_.erase(recency_.back());
-      recency_.pop_back();
+    if (used_ < index_.lines()) {
+      slot = static_cast<std::uint32_t>(used_++);
+    } else {
+      slot = prev_[sentinel()];  // least recently used
+      index_.evict(slot);
+      unlink(slot);
     }
-    recency_.push_front(block);
-    index_[block] = recency_.begin();
+    index_.insert(slot, block);
+    push_front(slot);
     return true;  // miss
   }
 
  private:
-  std::size_t lines_;
-  std::list<core::BlockId> recency_;
-  std::unordered_map<core::BlockId, std::list<core::BlockId>::iterator>
-      index_;
+  std::uint32_t sentinel() const {
+    return static_cast<std::uint32_t>(index_.lines());
+  }
+
+  void unlink(std::uint32_t slot) {
+    next_[prev_[slot]] = next_[slot];
+    prev_[next_[slot]] = prev_[slot];
+  }
+
+  void push_front(std::uint32_t slot) {
+    const std::uint32_t head = next_[sentinel()];
+    prev_[slot] = sentinel();
+    next_[slot] = head;
+    prev_[head] = slot;
+    next_[sentinel()] = slot;
+  }
+
+  BlockIndex index_;
+  std::vector<std::uint32_t> prev_;
+  std::vector<std::uint32_t> next_;
+  /// Slots filled since the last reset; slots below it are resident.
+  std::size_t used_ = 0;
 };
 
 }  // namespace

@@ -153,13 +153,6 @@ SweepCell run_replicates(const core::Graph& g, sched::SimOptions opts,
                          std::uint64_t seed_base, std::uint64_t seed_count) {
   WSF_REQUIRE(seed_count >= 1, "need at least one replicate");
   SweepCell cell;
-  // The DAG stats and the sequential baseline are seed-independent, so they
-  // are computed once per cell instead of once per replicate the way a
-  // per-seed run_experiment() loop would; each replicate then runs only the
-  // parallel simulation and the deviation comparison. Cell values are
-  // identical to run_experiment()'s by construction.
-  cell.stats = core::compute_stats(g);
-  const sched::SeqResult seq = sched::run_sequential(g, opts);
   opts.record_trace = true;  // deviation counting needs proc_orders
   opts.seed = seed_base;
   // The whole replicate batch runs through one simulator arena and one
@@ -169,6 +162,14 @@ SweepCell run_replicates(const core::Graph& g, sched::SimOptions opts,
   // no per-seed allocation at all (simulator state, result vectors, or
   // deviation report).
   sched::Simulator sim(g, opts);
+  // The DAG stats and the sequential baseline are seed-independent, so they
+  // are computed once per cell, on the simulator's layout, instead of once
+  // per replicate the way a per-seed run_experiment() loop would; each
+  // replicate then runs only the parallel simulation and the deviation
+  // comparison. Cell values are identical to run_experiment()'s by
+  // construction (the baseline reads neither the seed nor record_trace).
+  cell.stats = core::compute_stats(sim.layout());
+  const sched::SeqResult seq = sched::run_sequential(sim.layout(), opts);
   core::DeviationCounter dev_counter(g, seq.order);
   for (std::uint64_t k = 0; k < seed_count; ++k) {
     if (k > 0) sim.reset(seed_base + k);

@@ -177,12 +177,15 @@ std::vector<graphs::GeneratedDag> generate_graphs(const SweepSpec& spec);
 
 /// Runs `seed_count` replicate simulator experiments (seeds seed_base …
 /// seed_base + seed_count - 1) of one configuration and aggregates them —
-/// the SimBackend implementation. The sequential baseline inside
-/// run_experiment() is seed-independent, so seq_misses has zero variance
-/// by construction. The replicates are batched through one simulator
-/// arena (Simulator::reset + run_in_place) and one core::DeviationCounter,
-/// so a steady-state replicate re-allocates neither simulator state nor
-/// result/report vectors (bench_sim_reuse measures the difference).
+/// the SimBackend implementation. The simulator builds the call's one
+/// core::GraphLayout, which the DAG stats and the sequential baseline also
+/// read. The baseline is seed-independent, so it runs once per call and seq_misses
+/// has zero variance by construction. The replicates are batched through
+/// one simulator arena (Simulator::reset + run_in_place) and one
+/// core::DeviationCounter, so a steady-state replicate re-allocates
+/// neither simulator state nor result/report vectors (bench_sim_reuse
+/// measures the difference). Nothing is cached across calls, so a sweep
+/// holds only the layouts of the configurations it is running.
 SweepCell run_replicates(const core::Graph& g, sched::SimOptions opts,
                          std::uint64_t seed_base, std::uint64_t seed_count);
 

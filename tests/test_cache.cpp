@@ -1,7 +1,14 @@
 // Cache model unit and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -179,6 +186,147 @@ TEST(AllPolicies, SingleLineCacheHitsOnlyRepeats) {
     EXPECT_TRUE(c->access(2)) << name;
     EXPECT_TRUE(c->access(1)) << name;
   }
+}
+
+// ---- differential tests against reference models ----
+//
+// The flat LRU and FIFO (block_index.hpp) must reproduce textbook models
+// access for access. The references work on indices into a universe of
+// block ids; `resident` mirrors their contents so contains() can be
+// checked over the whole universe after every access.
+
+/// Textbook LRU: a recency list, front = most recent.
+class ReferenceLru {
+ public:
+  ReferenceLru(std::size_t lines, std::size_t universe)
+      : lines_(lines), resident_(universe, 0) {}
+  bool access(std::size_t u) {
+    const auto it = std::find(recency_.begin(), recency_.end(), u);
+    if (it != recency_.end()) {
+      recency_.erase(it);
+      recency_.push_front(u);
+      return false;
+    }
+    if (recency_.size() == lines_) {
+      resident_[recency_.back()] = 0;
+      recency_.pop_back();
+    }
+    recency_.push_front(u);
+    resident_[u] = 1;
+    return true;
+  }
+  bool contains(std::size_t u) const { return resident_[u] != 0; }
+  void reset() {
+    recency_.clear();
+    std::fill(resident_.begin(), resident_.end(), 0);
+  }
+
+ private:
+  std::size_t lines_;
+  std::list<std::size_t> recency_;
+  std::vector<char> resident_;
+};
+
+/// Textbook FIFO: insertion order, front = oldest.
+class ReferenceFifo {
+ public:
+  ReferenceFifo(std::size_t lines, std::size_t universe)
+      : lines_(lines), resident_(universe, 0) {}
+  bool access(std::size_t u) {
+    if (resident_[u]) return false;
+    if (order_.size() == lines_) {
+      resident_[order_.front()] = 0;
+      order_.pop_front();
+    }
+    order_.push_back(u);
+    resident_[u] = 1;
+    return true;
+  }
+  bool contains(std::size_t u) const { return resident_[u] != 0; }
+  void reset() {
+    order_.clear();
+    std::fill(resident_.begin(), resident_.end(), 0);
+  }
+
+ private:
+  std::size_t lines_;
+  std::deque<std::size_t> order_;
+  std::vector<char> resident_;
+};
+
+/// `size` distinct block ids spread over the whole non-negative 64-bit
+/// range, including both ends of it.
+std::vector<BlockId> spread_universe(std::uint64_t seed, std::size_t size) {
+  support::Xoshiro256 rng(seed);
+  std::vector<BlockId> ids{0, std::numeric_limits<BlockId>::max()};
+  while (ids.size() < size) {
+    const auto id = static_cast<BlockId>(rng.next() >> 1);
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  }
+  ids.resize(size);
+  return ids;
+}
+
+/// A seeded trace of universe indices: half uniform, half skewed toward low
+/// indices so that large universes still produce hits.
+std::vector<std::size_t> index_trace(std::uint64_t seed, std::size_t len,
+                                     std::size_t universe) {
+  support::Xoshiro256 rng(seed);
+  std::vector<std::size_t> t;
+  t.reserve(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t bound =
+        i % 2 ? universe : rng.below(universe) + 1;  // skewed on odd draws
+    t.push_back(static_cast<std::size_t>(rng.below(bound)));
+  }
+  return t;
+}
+
+template <class Reference>
+void expect_matches_reference(const std::string& policy) {
+  std::uint64_t seed = 1;
+  for (const std::size_t lines : {1u, 2u, 3u, 5u, 64u, 256u}) {
+    for (const std::size_t universe :
+         {std::max<std::size_t>(1, lines / 2), 16 * lines + 3}) {
+      const std::vector<BlockId> ids = spread_universe(seed, universe);
+      auto flat = make_cache(policy, lines);
+      Reference ref(lines, universe);
+      // The same cache object runs twice, the second time after reset().
+      for (int pass = 0; pass < 2; ++pass, ++seed) {
+        if (pass == 1) {
+          flat->reset();
+          ref.reset();
+          EXPECT_EQ(flat->accesses(), 0u);
+        }
+        const std::vector<std::size_t> trace =
+            index_trace(seed, 2000, universe);
+        std::uint64_t misses = 0;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+          const bool miss = ref.access(trace[i]);
+          misses += miss;
+          ASSERT_EQ(flat->access(ids[trace[i]]), miss)
+              << policy << " C=" << lines << " universe=" << universe
+              << " pass=" << pass << " access " << i;
+          for (std::size_t u = 0; u < universe; ++u) {
+            if (flat->contains(ids[u]) == ref.contains(u)) continue;
+            FAIL() << policy << " C=" << lines << " universe=" << universe
+                   << " pass=" << pass << ": contains(" << ids[u]
+                   << ") disagrees after access " << i;
+          }
+        }
+        EXPECT_EQ(flat->misses(), misses);
+        EXPECT_EQ(flat->hits(), trace.size() - misses);
+      }
+    }
+  }
+}
+
+TEST(Differential, LruMatchesListReference) {
+  expect_matches_reference<ReferenceLru>("lru");
+}
+
+TEST(Differential, FifoMatchesDequeReference) {
+  expect_matches_reference<ReferenceFifo>("fifo");
 }
 
 }  // namespace

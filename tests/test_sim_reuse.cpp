@@ -20,13 +20,17 @@ std::atomic<std::size_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// noinline throughout: inlined into each other's callers, the malloc/free
+// pairs would look to GCC like mismatched allocations
+// (-Wmismatched-new-delete).
+__attribute__((noinline)) void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, std::align_val_t align) {
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;  // aligned_alloc rule
@@ -34,10 +38,18 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
   std::free(p);
 }
 
