@@ -8,6 +8,7 @@
 #include "runtime/pool.hpp"
 
 namespace rt = wsf::runtime;
+using wsf::core::ForkPolicy;
 
 namespace {
 
@@ -41,7 +42,7 @@ std::vector<rt::Future<int>> stage_transform() {
 int main() {
   rt::RuntimeOptions opts;
   opts.workers = 4;
-  opts.policy = rt::SpawnPolicy::FutureFirst;  // the paper's recommendation
+  opts.policy = ForkPolicy::FutureFirst;  // the paper's recommendation
   rt::Scheduler sched(opts);
 
   const long total = sched.run([] {

@@ -9,6 +9,7 @@
 #include "support/rng.hpp"
 
 namespace rt = wsf::runtime;
+using wsf::core::ForkPolicy;
 
 namespace {
 
@@ -33,7 +34,7 @@ void qsort_par(std::vector<int>& v, std::ptrdiff_t lo, std::ptrdiff_t hi) {
 
 int main() {
   for (auto policy :
-       {rt::SpawnPolicy::FutureFirst, rt::SpawnPolicy::ParentFirst}) {
+       {ForkPolicy::FutureFirst, ForkPolicy::ParentFirst}) {
     rt::RuntimeOptions opts;
     opts.workers = 4;
     opts.policy = policy;

@@ -7,6 +7,7 @@
 #include "runtime/pool.hpp"
 
 namespace rt = wsf::runtime;
+using wsf::core::ForkPolicy;
 
 namespace {
 
@@ -26,7 +27,7 @@ std::uint64_t fib(std::uint64_t n) {
 int main() {
   rt::RuntimeOptions opts;
   opts.workers = 4;
-  opts.policy = rt::SpawnPolicy::FutureFirst;
+  opts.policy = ForkPolicy::FutureFirst;
   rt::Scheduler sched(opts);
 
   const std::uint64_t result = sched.run([] { return fib(26); });

@@ -32,6 +32,9 @@ int main(int argc, char** argv) {
                              "print per-processor execution sequences "
                              "(deviations marked with '*')");
   if (!args.parse(argc, argv)) return 0;
+  // Parsed first, so an unknown name fails before any output.
+  const core::ForkPolicy fork_policy =
+      core::fork_policy_from_string(policy.value);
 
   graphs::RegistryParams params;
   params.size = static_cast<std::uint32_t>(size.value);
@@ -58,7 +61,7 @@ int main(int argc, char** argv) {
 
   sched::SimOptions opts;
   opts.procs = static_cast<std::uint32_t>(procs.value);
-  opts.policy = core::fork_policy_from_string(policy.value);
+  opts.policy = fork_policy;
   opts.cache_lines = static_cast<std::size_t>(cache.value);
   opts.seed = static_cast<std::uint64_t>(seed.value);
   opts.stall_prob = stall.value;

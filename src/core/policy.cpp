@@ -4,6 +4,16 @@
 
 namespace wsf::core {
 
+ForkPolicy fork_policy_from_string(const std::string& s) {
+  if (s == "future-first" || s == "future" || s == "work-first")
+    return ForkPolicy::FutureFirst;
+  if (s == "parent-first" || s == "parent" || s == "help-first")
+    return ForkPolicy::ParentFirst;
+  WSF_REQUIRE(false, "unknown fork policy '"
+                         << s << "' (future-first | parent-first)");
+  return ForkPolicy::FutureFirst;
+}
+
 StealPolicy steal_policy_from_string(const std::string& s) {
   if (s == "one" || s == "single") return StealPolicy::One;
   if (s == "half" || s == "steal-half") return StealPolicy::Half;

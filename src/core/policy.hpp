@@ -25,11 +25,7 @@ inline const char* to_string(ForkPolicy p) {
   return p == ForkPolicy::FutureFirst ? "future-first" : "parent-first";
 }
 
-inline ForkPolicy fork_policy_from_string(const std::string& s) {
-  if (s == "future-first" || s == "future" || s == "work-first")
-    return ForkPolicy::FutureFirst;
-  return ForkPolicy::ParentFirst;
-}
+ForkPolicy fork_policy_from_string(const std::string& s);
 
 /// How much a thief claims per successful steal operation.
 enum class StealPolicy {

@@ -49,12 +49,8 @@ class RuntimeBackend final : public Backend {
                        std::uint64_t /*seed_base*/,
                        std::uint64_t seed_count) override {
     WSF_REQUIRE(seed_count >= 1, "need at least one replicate");
-    const runtime::SpawnPolicy policy =
-        cfg.options.policy == core::ForkPolicy::FutureFirst
-            ? runtime::SpawnPolicy::FutureFirst
-            : runtime::SpawnPolicy::ParentFirst;
-    ensure_scheduler(cfg.options.procs, policy, cfg.options.steal_policy,
-                     cfg.options.victim_policy);
+    ensure_scheduler(cfg.options.procs, cfg.options.policy,
+                     cfg.options.steal_policy, cfg.options.victim_policy);
 
     SweepCell cell;
     const core::GraphLayout layout(g);
@@ -111,7 +107,7 @@ class RuntimeBackend final : public Backend {
   /// stay isolated. Leases held by this Backend keep their schedulers
   /// alive for the sweep's duration; the last Backend to release drops
   /// them.
-  void ensure_scheduler(std::uint32_t workers, runtime::SpawnPolicy policy,
+  void ensure_scheduler(std::uint32_t workers, core::ForkPolicy policy,
                         core::StealPolicy steal, core::VictimPolicy victim) {
     if (lease_ && workers == workers_ && policy == policy_ &&
         steal == steal_ && victim == victim_)
@@ -138,7 +134,7 @@ class RuntimeBackend final : public Backend {
   /// dies, so a grid alternating shapes does not restart schedulers.
   std::vector<std::shared_ptr<runtime::SharedScheduler>> held_;
   std::uint32_t workers_ = 0;
-  runtime::SpawnPolicy policy_ = runtime::SpawnPolicy::FutureFirst;
+  core::ForkPolicy policy_ = core::ForkPolicy::FutureFirst;
   core::StealPolicy steal_ = core::StealPolicy::One;
   core::VictimPolicy victim_ = core::VictimPolicy::Uniform;
 };

@@ -118,6 +118,34 @@ std::vector<Preset> make_presets() {
   }
   {
     Preset p;
+    p.name = "abp";
+    p.title =
+        "Arora-Blumofe-Plaxton (Section 3), the steal bound Theorem 8's "
+        "proof builds on: parsimonious work stealing takes O(P*T) steals "
+        "on fork-join, fib, single-touch and pipeline DAGs; steals / (P*T) "
+        "stays far below 1 and stops growing with P";
+    const auto spec = [](std::vector<GraphAxis> graphs,
+                         std::uint64_t seeds) {
+      SweepSpec s = future_first(std::move(graphs), {2, 4, 8, 16}, seeds);
+      s.cache_lines = {0};
+      s.stall_prob = 0.1;
+      return s;
+    };
+    p.full = spec({axis("forkjoin", 8, 2), axis("fib", 16, 0),
+                   axis("random-single-touch", 60, 0),
+                   axis("pipeline", 6, 32)},
+                  10);
+    p.smoke = spec({axis("forkjoin", 6, 2), axis("fib", 12, 0),
+                    axis("random-single-touch", 30, 0),
+                    axis("pipeline", 4, 16)},
+                   4);
+    p.derive = with_bound_ratios;
+    p.claims = {at_most("mean_steals", "steal_bound", 0.5),
+                not_growing("mean_steals", "steal_bound", "procs")};
+    out.push_back(std::move(p));
+  }
+  {
+    Preset p;
     p.name = "thm12";
     p.title =
         "Theorem 12: structured local-touch computations (pipelines, random "

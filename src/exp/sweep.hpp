@@ -183,9 +183,9 @@ std::vector<graphs::GeneratedDag> generate_graphs(const SweepSpec& spec);
 /// has zero variance by construction. The replicates are batched through
 /// one simulator arena (Simulator::reset + run_in_place) and one
 /// core::DeviationCounter, so a steady-state replicate re-allocates
-/// neither simulator state nor result/report vectors (bench_sim_reuse
-/// measures the difference). Nothing is cached across calls, so a sweep
-/// holds only the layouts of the configurations it is running.
+/// neither simulator state nor result/report vectors (test_sim_reuse
+/// asserts it). Nothing is cached across calls, so a sweep holds only the
+/// layouts of the configurations it is running.
 SweepCell run_replicates(const core::Graph& g, sched::SimOptions opts,
                          std::uint64_t seed_base, std::uint64_t seed_count);
 

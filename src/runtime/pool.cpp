@@ -752,7 +752,7 @@ namespace {
 struct LeaseRegistry {
   struct Key {
     std::uint32_t workers;
-    SpawnPolicy policy;
+    core::ForkPolicy policy;
     std::size_t stack_bytes;
     core::StealPolicy steal;
     core::VictimPolicy victim;

@@ -2,11 +2,11 @@
 //
 // This is the runtime counterpart of the paper's model:
 //   * one Chase–Lev deque per worker (parsimonious work stealing, §3);
-//   * SpawnPolicy::FutureFirst — spawn suspends the parent, pushes its
+//   * core::ForkPolicy::FutureFirst — spawn suspends the parent, pushes its
 //     continuation onto the deque bottom, and runs the future inline
 //     (work-first; the policy Theorem 8 recommends);
-//   * SpawnPolicy::ParentFirst — spawn pushes the future task and the parent
-//     continues (help-first; the policy Theorem 10 warns about);
+//   * core::ForkPolicy::ParentFirst — spawn pushes the future task and the
+//     parent continues (help-first; the policy Theorem 10 warns about);
 //   * an unresolved touch parks the consumer fiber; the producer resumes it
 //     directly when the value is ready (eager resume).
 //
@@ -33,7 +33,7 @@
 // schedulers costs ~no CPU.
 //
 // One-shot usage (unchanged):
-//   Scheduler sched({.workers = 4, .policy = SpawnPolicy::FutureFirst});
+//   Scheduler sched({.workers = 4, .policy = core::ForkPolicy::FutureFirst});
 //   int r = sched.run([] {
 //     auto f = spawn([] { return heavy(); });   // Future<int>
 //     int local = other_work();
@@ -74,22 +74,11 @@
 
 namespace wsf::runtime {
 
-enum class SpawnPolicy {
-  /// Run the spawned future first; push the parent continuation
-  /// (work-first — recommended by the paper for structured computations).
-  FutureFirst,
-  /// Continue the parent; push the spawned future (help-first).
-  ParentFirst,
-};
-
-inline const char* to_string(SpawnPolicy p) {
-  return p == SpawnPolicy::FutureFirst ? "future-first" : "parent-first";
-}
-
 struct RuntimeOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::uint32_t workers = 0;
-  SpawnPolicy policy = SpawnPolicy::FutureFirst;
+  /// The same fork policy the simulator takes (sched::SimOptions::policy).
+  core::ForkPolicy policy = core::ForkPolicy::FutureFirst;
   /// Stack bytes per fiber.
   std::size_t stack_bytes = 256 * 1024;
   /// Seed for victim selection.
@@ -658,7 +647,7 @@ class Scheduler {
   /// itself counts nothing.
   void prewarm(std::size_t count);
 
-  SpawnPolicy policy() const { return opts_.policy; }
+  core::ForkPolicy policy() const { return opts_.policy; }
   std::uint32_t num_workers() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
@@ -919,7 +908,7 @@ auto spawn(F&& fn) -> Future<std::invoke_result_t<F>> {
   detail::Worker* w = detail::current_worker();
   WSF_REQUIRE(w != nullptr, "spawn() outside the scheduler");
   Fiber* parent = nullptr;
-  if (w->scheduler().policy() == SpawnPolicy::FutureFirst) {
+  if (w->scheduler().policy() == core::ForkPolicy::FutureFirst) {
     parent = detail::current_fiber();
     WSF_CHECK(parent != nullptr, "spawn outside a task fiber");
   }

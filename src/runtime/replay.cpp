@@ -113,8 +113,8 @@ void GraphReplayer::run_thread(core::ThreadId tid) {
       cont = layout_.fork_right_child(v);
       const core::ThreadId child =
           layout_.thread_of(layout_.fork_left_child(v));
-      // A real future per spawned thread; the scheduler's SpawnPolicy (the
-      // fork policy) decides whether the child runs inline with the parent
+      // A real future per spawned thread; the scheduler's core::ForkPolicy
+      // decides whether the child runs inline with the parent
       // continuation pushed (future-first) or is pushed while the parent
       // continues (parent-first). Synchronization happens through the
       // per-touch-edge events, so the future handle itself is a side-effect

@@ -3,11 +3,11 @@
 // The simulator (sched::Simulator) executes a core::Graph under the paper's
 // round-based ABP model; this layer executes the *same* graph on the fiber
 // runtime (runtime::Scheduler): one future is spawned per future thread at
-// its fork node (honoring the scheduler's SpawnPolicy, i.e. the fork
-// policy), and every touch edge becomes a real synchronization — the
-// consumer fiber parks on a per-edge event and the producer wakes it when
-// the future parent executes, following the touch-enable rule
-// (sched::TouchEnable):
+// its fork node (honoring the scheduler's core::ForkPolicy, the enum the
+// simulator takes too), and every touch edge becomes a real
+// synchronization — the consumer fiber parks on a per-edge event and the
+// producer wakes it when the future parent executes, following the
+// touch-enable rule (sched::TouchEnable):
 //   * TouchFirst — the producer suspends, pushes its own continuation, and
 //     switches to the woken consumer (eager resume);
 //   * ContinuationFirst — the producer pushes the consumer onto its deque

@@ -10,7 +10,9 @@
 namespace wsf::runtime {
 namespace {
 
-class AlgorithmsBothPolicies : public ::testing::TestWithParam<SpawnPolicy> {
+using core::ForkPolicy;
+
+class AlgorithmsBothPolicies : public ::testing::TestWithParam<ForkPolicy> {
  protected:
   Scheduler make() {
     RuntimeOptions opts;
@@ -88,10 +90,10 @@ TEST_P(AlgorithmsBothPolicies, NestedParallelFor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, AlgorithmsBothPolicies,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& param_info) {
-                           return param_info.param == SpawnPolicy::FutureFirst
+                           return param_info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });

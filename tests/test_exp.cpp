@@ -163,6 +163,12 @@ TEST(TouchEnableParsing, RejectsUnknownNames) {
   EXPECT_THROW(sched::touch_enable_from_string("touchfirst"), CheckError);
 }
 
+TEST(ForkPolicyParsing, RejectsUnknownNames) {
+  for (const ForkPolicy p : {ForkPolicy::FutureFirst, ForkPolicy::ParentFirst})
+    EXPECT_EQ(core::fork_policy_from_string(core::to_string(p)), p);
+  EXPECT_THROW(core::fork_policy_from_string("futurefirst"), CheckError);
+}
+
 TEST(RunSweep, UnknownFamilySurfacesAsCheckError) {
   exp::SweepSpec spec = small_spec();
   spec.graphs = {{"no-such-family", {}, {}}};

@@ -139,17 +139,14 @@ TEST(LayoutInvariance, SimulatorMeasuresExactAcrossOrders) {
 // order, for both spawn policies. (P>1 runtime runs are nondeterministic,
 // so the exact-count comparison lives in the simulator test above.)
 TEST(LayoutInvariance, RuntimeOneWorkerMatchesSequentialUnderAnyOrder) {
-  for (const runtime::SpawnPolicy policy :
-       {runtime::SpawnPolicy::FutureFirst,
-        runtime::SpawnPolicy::ParentFirst}) {
+  for (const core::ForkPolicy policy :
+       {core::ForkPolicy::FutureFirst, core::ForkPolicy::ParentFirst}) {
     runtime::RuntimeOptions ropts;
     ropts.workers = 1;
     ropts.policy = policy;
     runtime::Scheduler sched(ropts);
     sched::SimOptions seq_opts;
-    seq_opts.policy = policy == runtime::SpawnPolicy::FutureFirst
-                          ? core::ForkPolicy::FutureFirst
-                          : core::ForkPolicy::ParentFirst;
+    seq_opts.policy = policy;
     for (const std::string& family : graphs::registry_names()) {
       const auto gen = graphs::make_named(family, small_params());
       for (const NodeOrderKind kind :

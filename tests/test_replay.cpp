@@ -33,11 +33,6 @@ graphs::RegistryParams small_params() {
   return params;
 }
 
-runtime::SpawnPolicy spawn_policy(ForkPolicy p) {
-  return p == ForkPolicy::FutureFirst ? runtime::SpawnPolicy::FutureFirst
-                                      : runtime::SpawnPolicy::ParentFirst;
-}
-
 std::vector<core::NodeId> flatten(
     const std::vector<std::vector<core::NodeId>>& orders) {
   std::vector<core::NodeId> all;
@@ -55,7 +50,7 @@ TEST(Replay, OneWorkerMatchesSequentialOnEveryFamily) {
        {ForkPolicy::FutureFirst, ForkPolicy::ParentFirst}) {
     runtime::RuntimeOptions ropts;
     ropts.workers = 1;
-    ropts.policy = spawn_policy(policy);
+    ropts.policy = policy;
     runtime::Scheduler sched(ropts);
     for (const std::string& family : graphs::registry_names()) {
       const auto gen = graphs::make_named(family, small_params());
@@ -121,7 +116,7 @@ class ReplayBothPolicies : public ::testing::TestWithParam<ForkPolicy> {};
 TEST_P(ReplayBothPolicies, MultiWorkerCoversEveryNodeOnce) {
   runtime::RuntimeOptions ropts;
   ropts.workers = 4;
-  ropts.policy = spawn_policy(GetParam());
+  ropts.policy = GetParam();
   runtime::Scheduler sched(ropts);
   for (const char* family :
        {"fig2", "fig4", "forkjoin", "pipeline", "random-local-touch"}) {
@@ -162,7 +157,7 @@ TEST_P(ReplayBothPolicies, MultiWorkerCoversEveryNodeOnce) {
 TEST_P(ReplayBothPolicies, CountersReconcileAfterReplay) {
   runtime::RuntimeOptions ropts;
   ropts.workers = 4;
-  ropts.policy = spawn_policy(GetParam());
+  ropts.policy = GetParam();
   runtime::Scheduler sched(ropts);
   graphs::RegistryParams params = small_params();
   params.size = 6;

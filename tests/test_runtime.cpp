@@ -14,6 +14,8 @@
 namespace wsf::runtime {
 namespace {
 
+using core::ForkPolicy;
+
 std::uint64_t fib_seq(std::uint64_t n) {
   return n < 2 ? n : fib_seq(n - 1) + fib_seq(n - 2);
 }
@@ -55,7 +57,7 @@ std::string touched_path(int depth, std::uint64_t label) {
   return mine + left.touch();
 }
 
-class RuntimeBothPolicies : public ::testing::TestWithParam<SpawnPolicy> {};
+class RuntimeBothPolicies : public ::testing::TestWithParam<ForkPolicy> {};
 
 TEST_P(RuntimeBothPolicies, FibIsCorrect) {
   RuntimeOptions opts;
@@ -226,10 +228,10 @@ TEST_P(RuntimeBothPolicies, FutureBlocksSurviveEitherReleaseOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, RuntimeBothPolicies,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& param_info) {
-                           return param_info.param == SpawnPolicy::FutureFirst
+                           return param_info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });
@@ -280,7 +282,7 @@ TEST(Runtime, FutureFirstRunsChildInline) {
   // completion before the parent resumes: the touch never parks.
   RuntimeOptions opts;
   opts.workers = 1;
-  opts.policy = SpawnPolicy::FutureFirst;
+  opts.policy = ForkPolicy::FutureFirst;
   Scheduler sched(opts);
   sched.reset_counters();
   sched.run([] {
@@ -298,7 +300,7 @@ TEST(Runtime, ParentFirstParksOnSingleWorker) {
   // the parent touches: every touch parks once.
   RuntimeOptions opts;
   opts.workers = 1;
-  opts.policy = SpawnPolicy::ParentFirst;
+  opts.policy = ForkPolicy::ParentFirst;
   Scheduler sched(opts);
   sched.reset_counters();
   sched.run([] {
@@ -316,7 +318,7 @@ TEST(Runtime, ParentFirstParksOnSingleWorker) {
 // reconcile exactly with the tasks that ran, at quiescence, under both
 // policies and various worker counts (see counters.hpp for the
 // identities).
-class Accounting : public ::testing::TestWithParam<SpawnPolicy> {
+class Accounting : public ::testing::TestWithParam<ForkPolicy> {
  protected:
   static void expect_reconciled(const WorkerCounters& t,
                                 std::uint64_t runs) {
@@ -419,10 +421,10 @@ TEST_P(Accounting, SharedCountMovesOnlyWhenWorkLeavesAWorker) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, Accounting,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& param_info) {
-                           return param_info.param == SpawnPolicy::FutureFirst
+                           return param_info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });

@@ -31,17 +31,16 @@ namespace wsf {
 namespace {
 
 using core::ForkPolicy;
-using runtime::SpawnPolicy;
 using sched::TouchEnable;
 
 class ServiceBothPolicies
-    : public ::testing::TestWithParam<SpawnPolicy> {};
+    : public ::testing::TestWithParam<ForkPolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(Policies, ServiceBothPolicies,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& info) {
-                           return info.param == SpawnPolicy::FutureFirst
+                           return info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });
@@ -320,9 +319,7 @@ TEST(ServiceMultiTenant, ConcurrentGraphsKeepStandaloneDeviations) {
 
       runtime::RuntimeOptions ropts;
       ropts.workers = 1;
-      ropts.policy = policy == ForkPolicy::FutureFirst
-                         ? SpawnPolicy::FutureFirst
-                         : SpawnPolicy::ParentFirst;
+      ropts.policy = policy;
       runtime::ReplayOptions replay_opts;
       replay_opts.touch_enable = touch;
       replay_opts.job_counters = false;

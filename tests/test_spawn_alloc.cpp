@@ -64,13 +64,15 @@ __attribute__((noinline)) void operator delete(void* p, std::size_t,
 namespace wsf::runtime {
 namespace {
 
-class SpawnAlloc : public ::testing::TestWithParam<SpawnPolicy> {};
+using core::ForkPolicy;
+
+class SpawnAlloc : public ::testing::TestWithParam<ForkPolicy> {};
 
 INSTANTIATE_TEST_SUITE_P(Policies, SpawnAlloc,
-                         ::testing::Values(SpawnPolicy::FutureFirst,
-                                           SpawnPolicy::ParentFirst),
+                         ::testing::Values(ForkPolicy::FutureFirst,
+                                           ForkPolicy::ParentFirst),
                          [](const auto& info) {
-                           return info.param == SpawnPolicy::FutureFirst
+                           return info.param == ForkPolicy::FutureFirst
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });

@@ -38,15 +38,12 @@
 //   ./build/tools/wsf-load --mix=uniform --workers=2 --submitters=4
 //   ./build/tools/wsf-load --inbox-cap=64 --admit=reject
 //       --offered-rate=50000 --deadline=2000 --expect-overload
-//   ./build/tools/wsf-load --sweep --sweep-workers=1,2,4
-//       --sweep-batches=4,16,64 --format=csv   # latency-vs-throughput grid
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -78,7 +75,7 @@ struct LoadConfig {
   /// kind index for the i-th job of the stream (the skew pattern).
   std::size_t (*kind_of)(std::uint64_t slot) = nullptr;
   std::uint32_t workers = 0;
-  runtime::SpawnPolicy policy = runtime::SpawnPolicy::FutureFirst;
+  core::ForkPolicy policy = core::ForkPolicy::FutureFirst;
   core::StealPolicy steal = core::StealPolicy::One;
   core::VictimPolicy victim = core::VictimPolicy::Uniform;
   sched::TouchEnable touch_enable = sched::TouchEnable::TouchFirst;
@@ -449,7 +446,7 @@ void add_stat_columns(support::Table& table, const LoadConfig& cfg,
                       const LoadStats& stats) {
   table.add(cfg.mix_name)
       .add(resolved_workers(cfg))
-      .add(runtime::to_string(cfg.policy))
+      .add(core::to_string(cfg.policy))
       .add(core::to_string(cfg.steal))
       .add(core::to_string(cfg.victim))
       .add(sched::to_string(cfg.touch_enable))
@@ -511,25 +508,6 @@ void write_rendered(const std::string& rendered, const std::string& path) {
   WSF_REQUIRE(file.good(), "write to '" << path << "' failed");
 }
 
-/// Parses "1,2,4" into positive integers.
-std::vector<std::uint64_t> parse_list(const std::string& flag,
-                                      const std::string& value) {
-  std::vector<std::uint64_t> out;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    const std::size_t comma = std::min(value.find(',', pos), value.size());
-    const std::string item = value.substr(pos, comma - pos);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    WSF_REQUIRE(!item.empty() && end && *end == '\0' && v > 0,
-                "--" << flag << ": bad list entry '" << item
-                     << "' (positive integers, comma-separated)");
-    out.push_back(v);
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -589,18 +567,6 @@ int main(int argc, char** argv) {
       "expect-overload", false,
       "exit nonzero unless the run shed or rejected at least one job "
       "(for CI overload smokes)");
-  auto& sweep = args.add_bool(
-      "sweep", false,
-      "run the full --sweep-workers x --sweep-batches grid and emit one "
-      "row per cell with a leading 'family' column (for wsf-plot)");
-  auto& sweep_workers = args.add_string(
-      "sweep-workers", "1,2,4", "comma-separated worker counts for --sweep");
-  auto& sweep_batches = args.add_string(
-      "sweep-batches", "4,16,64", "comma-separated batch sizes for --sweep");
-  auto& baseline = args.add_bool(
-      "baseline", false,
-      "also run the measured jobs on a 1-worker, 1-submitter scheduler "
-      "and report the throughput speedup");
   auto& strict = args.add_bool(
       "strict", false,
       "exit nonzero if the measured phase created any fiber stack "
@@ -614,18 +580,11 @@ int main(int argc, char** argv) {
   // --workers=abc or --jobs=0) would terminate with SIGABRT and no usable
   // diagnostic. Exit 2 = bad invocation, per the tools' convention.
   LoadConfig cfg;
-  std::vector<std::uint64_t> grid_workers, grid_batches;
   try {
     if (!args.parse(argc, argv)) return 0;
     cfg = make_mix(mix.value);
     cfg.workers = static_cast<std::uint32_t>(workers.value);
-    WSF_REQUIRE(policy.value == "future-first" ||
-                    policy.value == "parent-first",
-                "unknown --policy '" << policy.value
-                                     << "' (future-first | parent-first)");
-    cfg.policy = policy.value == "future-first"
-                     ? runtime::SpawnPolicy::FutureFirst
-                     : runtime::SpawnPolicy::ParentFirst;
+    cfg.policy = core::fork_policy_from_string(policy.value);
     cfg.steal = core::steal_policy_from_string(steal.value);
     cfg.victim = core::victim_policy_from_string(victim.value);
     cfg.touch_enable = sched::touch_enable_from_string(touch.value);
@@ -666,83 +625,16 @@ int main(int argc, char** argv) {
                     format.value == "json",
                 "unknown --format '" << format.value
                                      << "' (table | csv | json)");
-    if (sweep.value) {
-      grid_workers = parse_list("sweep-workers", sweep_workers.value);
-      grid_batches = parse_list("sweep-batches", sweep_batches.value);
-      WSF_REQUIRE(!baseline.value, "--baseline does not combine with --sweep");
-      // Same up-front refusal as the scalar --batch check, for every cell
-      // of the grid.
-      for (const std::uint64_t b : grid_batches)
-        WSF_REQUIRE(cfg.inbox_cap == 0 ||
-                        cfg.admit == runtime::SubmitPolicy::Reject ||
-                        b <= cfg.inbox_cap,
-                    "--sweep-batches cell ("
-                        << b << ") exceeds --inbox-cap (" << cfg.inbox_cap
-                        << "); blocking admission would deadlock");
-    }
   } catch (const CheckError& e) {
     std::fprintf(stderr, "wsf-load: %s\n", e.what());
     return 2;
   }
 
   try {
-    if (sweep.value) {
-      // Latency-vs-throughput grid: one full load run per (workers, batch)
-      // cell, same mix/admission config throughout. The leading 'family'
-      // column makes the CSV a wsf-plot input:
-      //   wsf-plot --in=<csv> --families=backpressure --x=jobs_per_sec
-      //     --measure=p99_us --series=workers
-      std::vector<std::string> headers = {"family"};
-      headers.insert(headers.end(), kStatHeaders.begin(), kStatHeaders.end());
-      support::Table table(headers);
-      for (const std::uint64_t w : grid_workers) {
-        for (const std::uint64_t b : grid_batches) {
-          LoadConfig cell = cfg;
-          cell.workers = static_cast<std::uint32_t>(w);
-          cell.batch = b;
-          const LoadStats stats = run_load(cell);
-          table.row().add("backpressure");
-          add_stat_columns(table, cell, stats);
-          std::fprintf(stderr,
-                       "wsf-load: sweep workers=%llu batch=%llu: %.0f "
-                       "jobs/sec, p99 %llu us (queue %llu us)\n",
-                       static_cast<unsigned long long>(w),
-                       static_cast<unsigned long long>(b), stats.jobs_per_sec,
-                       static_cast<unsigned long long>(stats.p99_us),
-                       static_cast<unsigned long long>(stats.queue_p99_us));
-        }
-      }
-      write_rendered(format.value == "csv"    ? table.to_csv()
-                     : format.value == "json" ? table.to_json()
-                                              : table.to_string(),
-                     out.value);
-      return 0;
-    }
-
     const LoadStats stats = run_load(cfg);
-
-    LoadStats base;
-    if (baseline.value) {
-      LoadConfig base_cfg = cfg;
-      base_cfg.workers = 1;
-      base_cfg.submitters = 1;
-      base = run_load(base_cfg);
-    }
-
-    std::vector<std::string> headers = kStatHeaders;
-    if (baseline.value) {
-      headers.push_back("baseline_jobs_per_sec");
-      headers.push_back("speedup");
-    }
-    support::Table table(headers);
+    support::Table table(kStatHeaders);
     table.row();
     add_stat_columns(table, cfg, stats);
-    if (baseline.value) {
-      table.add(base.jobs_per_sec);
-      table.add(base.jobs_per_sec == 0
-                    ? 0.0
-                    : stats.jobs_per_sec / base.jobs_per_sec);
-    }
     write_rendered(format.value == "csv"    ? table.to_csv()
                    : format.value == "json" ? table.to_json()
                                             : table.to_string(),
