@@ -65,7 +65,6 @@ GraphBuilder::Fork GraphBuilder::fork(ThreadId t, BlockId fork_block,
   Fork result;
   result.fork_node = step(t, fork_block);
   if (!fork_role.empty()) g_.set_role(result.fork_node, fork_role);
-  g_.fork_nodes_.push_back(result.fork_node);
 
   // Spawn the future thread with its first node (the fork's left child).
   result.future_thread = static_cast<ThreadId>(g_.threads_.size());
@@ -103,7 +102,7 @@ NodeId GraphBuilder::touch_node(ThreadId consumer, NodeId future_parent,
   // by their outgoing future edge.
   bool local_parent_is_fork = false;
   {
-    const Node& lp = g_.nodes_[local_parent];
+    const Graph::Slots& lp = g_.slots_[local_parent];
     for (std::uint8_t i = 0; i < lp.out_count; ++i)
       if (lp.out[i].kind == EdgeKind::Future) local_parent_is_fork = true;
   }
@@ -129,8 +128,7 @@ Graph GraphBuilder::finish() {
   WSF_REQUIRE(!finished_, "builder already finished");
   finished_ = true;
   g_.final_ = tails_[0];
-  g_.build_touch_index();
-  g_.validate();
+  g_.finalize();
   return std::move(g_);
 }
 
@@ -143,7 +141,7 @@ Graph GraphBuilder::finish_super(bool touch_all) {
   g_.final_ = tails_[0];
   for (ThreadId t = 1; t < g_.threads_.size(); ++t) {
     const NodeId last = g_.threads_[t].last_node;
-    const Node& n = g_.nodes_[last];
+    const Graph::Slots& n = g_.slots_[last];
     bool already_touches = false;
     for (std::uint8_t i = 0; i < n.out_count; ++i)
       if (n.out[i].kind == EdgeKind::Touch) already_touches = true;
@@ -155,8 +153,7 @@ Graph GraphBuilder::finish_super(bool touch_all) {
       g_.add_super_final_edge(last);
     }
   }
-  g_.build_touch_index();
-  g_.validate();
+  g_.finalize();
   return std::move(g_);
 }
 

@@ -143,10 +143,9 @@ StructureReport classify(const Graph& g) {
         open.pop_back();
       }
       // Advance along the continuation edge.
-      const Node& n = g.node(cur);
       NodeId next = kInvalidNode;
-      for (std::uint8_t i = 0; i < n.out_count; ++i)
-        if (n.out[i].kind == EdgeKind::Continuation) next = n.out[i].node;
+      for (const HalfEdge& out : g.successors(cur))
+        if (out.kind == EdgeKind::Continuation) next = out.node;
       cur = next;
     }
     if (!open.empty()) {

@@ -3,6 +3,7 @@
 #include "support/check.hpp"
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,13 +81,11 @@ std::vector<DeviationChain> deviation_chains(
     // (only fork children enter deques); find its fork. The left child
     // case (parent-first pushes the future thread head) roots the chain at
     // the same fork.
-    const Node& sn = g.node(stolen);
+    const std::span<const HalfEdge> preds = g.predecessors(stolen);
     NodeId fork = kInvalidNode;
-    if (sn.in_count == 1 && (sn.in[0].kind == EdgeKind::Continuation ||
-                             sn.in[0].kind == EdgeKind::Future)) {
-      const NodeId pred = sn.in[0].node;
-      if (g.is_fork(pred)) fork = pred;
-    }
+    if (preds.size() == 1 && preds[0].kind != EdgeKind::Touch &&
+        g.is_fork(preds[0].node))
+      fork = preds[0].node;
     if (fork == kInvalidNode) {
       chains.push_back(std::move(chain));
       continue;

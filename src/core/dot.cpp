@@ -45,11 +45,10 @@ std::string to_dot(const Graph& g, const DotOptions& opts) {
   }
 
   for (NodeId id = 0; id < limit; ++id) {
-    const Node& n = g.node(id);
-    for (std::uint8_t i = 0; i < n.out_count; ++i) {
-      if (n.out[i].node >= limit) continue;
-      os << "  n" << id << " -> n" << n.out[i].node;
-      switch (n.out[i].kind) {
+    for (const HalfEdge& out : g.successors(id)) {
+      if (out.node >= limit) continue;
+      os << "  n" << id << " -> n" << out.node;
+      switch (out.kind) {
         case EdgeKind::Continuation:
           break;
         case EdgeKind::Future:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,10 +86,11 @@ NodeOrder dfs_order(const Graph& g) {
     stack.pop_back();
     if (new_id_of[v] != kInvalidNode) continue;
     new_id_of[v] = next++;
-    const Node& node = g.node(v);
-    // Push in reverse so out[0]'s subtree is numbered first (preorder).
-    for (int i = node.out_count - 1; i >= 0; --i)
-      stack.push_back(node.out[i].node);
+    // Push in reverse so the first successor's subtree is numbered first
+    // (preorder).
+    const std::span<const HalfEdge> out = g.successors(v);
+    for (auto it = out.rbegin(); it != out.rend(); ++it)
+      stack.push_back(it->node);
   }
   WSF_CHECK(static_cast<std::size_t>(next) == n,
             "DFS reached " << next << " of " << n << " nodes");
@@ -137,18 +139,28 @@ Graph relabeled_graph(const Graph& g, const std::vector<NodeId>& new_id_of) {
   const auto map = [&](NodeId v) {
     return v == kInvalidNode ? kInvalidNode : new_id_of[v];
   };
-
   Graph out;
-  out.nodes_.resize(n);
+  out.thread_of_.resize(n);
+  out.block_of_.resize(n);
+  out.slots_.resize(n);
+  std::vector<char> taken(n, 0);
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    Node node = g.nodes_[v];
-    for (std::uint8_t i = 0; i < node.out_count; ++i)
-      node.out[i].node = map(node.out[i].node);
-    for (std::uint8_t i = 0; i < node.in_count; ++i)
-      node.in[i].node = map(node.in[i].node);
     const NodeId nv = new_id_of[v];
-    WSF_REQUIRE(nv < n, "permutation target " << nv << " out of range");
-    out.nodes_[nv] = node;
+    WSF_REQUIRE(nv < n && !taken[nv],
+                "permutation target " << nv << " out of range or repeated");
+    taken[nv] = 1;
+    out.thread_of_[nv] = g.thread_of(v);
+    out.block_of_[nv] = g.block_of(v);
+    // Edge slots keep their order; the final node's super-final
+    // predecessors are not slots (finalize appends them again).
+    Graph::Slots& s = out.slots_[nv];
+    for (const HalfEdge& e : g.successors(v))
+      s.out[s.out_count++] = HalfEdge{map(e.node), e.kind};
+    std::span<const HalfEdge> in = g.predecessors(v);
+    if (v == g.final_node())
+      in = in.first(in.size() - g.super_final_preds_.size());
+    for (const HalfEdge& e : in)
+      s.in[s.in_count++] = HalfEdge{map(e.node), e.kind};
   }
   out.threads_ = g.threads_;
   for (ThreadInfo& ti : out.threads_) {
@@ -156,110 +168,18 @@ Graph relabeled_graph(const Graph& g, const std::vector<NodeId>& new_id_of) {
     ti.last_node = map(ti.last_node);
     ti.fork_node = map(ti.fork_node);
   }
-  const auto remap_sorted = [&](const std::vector<NodeId>& in) {
-    std::vector<NodeId> mapped;
-    mapped.reserve(in.size());
-    for (const NodeId v : in) mapped.push_back(map(v));
-    // The relabeled graph's construction order IS its id order; sorting
-    // keeps the enumeration lists consistent with that convention (and
-    // deterministic).
-    std::sort(mapped.begin(), mapped.end());
-    return mapped;
-  };
-  out.touch_nodes_ = remap_sorted(g.touch_nodes_);
-  out.fork_nodes_ = remap_sorted(g.fork_nodes_);
-  out.super_final_preds_ = remap_sorted(g.super_final_preds_);
+  // The relabeled graph's construction order is its id order, so its
+  // super-final predecessors are listed in id order.
+  for (const NodeId v : g.super_final_preds_)
+    out.super_final_preds_.push_back(map(v));
+  std::sort(out.super_final_preds_.begin(), out.super_final_preds_.end());
   out.final_ = map(g.final_);
-  out.edge_count_ = g.edge_count_;
   for (const auto& [role, v] : g.role_to_node_) {
     out.role_to_node_[role] = map(v);
     out.node_to_role_[map(v)] = role;
   }
-  out.build_touch_index();
-  out.validate();
+  out.finalize();
   return out;
-}
-
-GraphLayout::GraphLayout(const Graph& g) : g_(&g), final_(g.final_node()) {
-  const std::size_t n = g.num_nodes();
-  thread_of_.resize(n);
-  block_of_.resize(n);
-  in_degree_.resize(n);
-  flags_.assign(n, 0);
-  left_child_.assign(n, kInvalidNode);
-  right_child_.assign(n, kInvalidNode);
-  future_parent_.assign(n, kInvalidNode);
-  corr_fork_.assign(n, kInvalidNode);
-
-  succ_off_.assign(n + 1, 0);
-  pred_off_.assign(n + 1, 0);
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    const Node& node = g.node(v);
-    thread_of_[v] = node.thread;
-    block_of_[v] = node.block;
-    in_degree_[v] = static_cast<std::uint32_t>(g.in_degree(v));
-    succ_off_[v + 1] = node.out_count;
-    pred_off_[v + 1] = node.in_count;
-  }
-  // The final node's in array holds at most 2 slots; its super-final touch
-  // predecessors only exist in the side list. The predecessor CSR includes
-  // them so in_degree(v) == predecessors(v).size() for every node.
-  if (final_ != kInvalidNode)
-    pred_off_[final_ + 1] +=
-        static_cast<std::uint32_t>(g.super_final_preds().size());
-  for (std::size_t v = 0; v < n; ++v) {
-    succ_off_[v + 1] += succ_off_[v];
-    pred_off_[v + 1] += pred_off_[v];
-  }
-  succ_.resize(succ_off_[n]);
-  pred_.resize(pred_off_[n]);
-
-  std::vector<std::uint32_t> pred_cursor(pred_off_.begin(),
-                                         pred_off_.end() - 1);
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    const Node& node = g.node(v);
-    std::uint32_t s = succ_off_[v];
-    for (std::uint8_t i = 0; i < node.out_count; ++i)
-      succ_[s++] = node.out[i];
-    for (std::uint8_t i = 0; i < node.in_count; ++i)
-      pred_[pred_cursor[v]++] = node.in[i];
-
-    // Node-kind flags from the inline arrays (identical to the Graph
-    // predicates; super-final edges never make the final node a touch).
-    bool has_future_out = false, has_cont_out = false, has_touch_out = false;
-    for (std::uint8_t i = 0; i < node.out_count; ++i) {
-      has_future_out |= node.out[i].kind == EdgeKind::Future;
-      has_cont_out |= node.out[i].kind == EdgeKind::Continuation;
-      has_touch_out |= node.out[i].kind == EdgeKind::Touch;
-    }
-    if (node.out_count == 2 && has_future_out && has_cont_out)
-      flags_[v] |= kFork;
-    if (has_touch_out) flags_[v] |= kFutureParent;
-    for (std::uint8_t i = 0; i < node.in_count; ++i)
-      if (node.in[i].kind == EdgeKind::Touch) flags_[v] |= kTouch;
-  }
-  for (const NodeId p : g.super_final_preds())
-    pred_[pred_cursor[final_]++] = HalfEdge{p, EdgeKind::Touch};
-
-  // Precomputed per-node relations the execution loops ask for per node.
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    const Node& node = g.node(v);
-    if (is_fork(v)) {
-      for (std::uint8_t i = 0; i < node.out_count; ++i) {
-        if (node.out[i].kind == EdgeKind::Future)
-          left_child_[v] = node.out[i].node;
-        else if (node.out[i].kind == EdgeKind::Continuation)
-          right_child_[v] = node.out[i].node;
-      }
-    }
-    if (is_touch(v)) {
-      for (std::uint8_t i = 0; i < node.in_count; ++i)
-        if (node.in[i].kind == EdgeKind::Touch)
-          future_parent_[v] = node.in[i].node;
-      const ThreadId ft = g.thread_of(future_parent_[v]);
-      corr_fork_[v] = g.thread_info(ft).fork_node;
-    }
-  }
 }
 
 }  // namespace wsf::core

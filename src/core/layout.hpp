@@ -1,28 +1,15 @@
-// Memory-layout views of the computation DAG.
+// Node memory order as an experimental variable.
 //
-// Two pieces, both motivated by the paper's cache-locality argument:
-//
-//  * GraphLayout — a structure-of-arrays / CSR snapshot of a Graph for the
-//    hot execution loops. The AoS Node records interleave thread, block,
-//    and both endpoint arrays in one 40-byte struct, so a scheduler loop
-//    that only needs "the successors of v" or "is v a touch" drags the
-//    whole record through the cache. The layout view splits those accesses
-//    into flat parallel arrays (thread_of / block_of / flags / CSR
-//    successor + predecessor index) and precomputes every per-node lookup
-//    the simulator, sequential executor, and runtime replayer perform per
-//    executed node (corresponding fork, future parent, fork children),
-//    replacing branch-and-scan Graph methods and per-call vector
-//    allocations with O(1) indexed loads.
-//
-//  * NodeOrder — a permutation of node ids, making the *physical order* of
-//    nodes in memory an experimental variable. The paper holds layout
-//    fixed; with relabeled_graph any graph can be laid out in construction
-//    order, DFS order, the 1-processor baseline's execution order, or a
-//    seeded random order, and results map back to original ids through the
-//    permutation. Scheduling measures (deviations, simulated misses) are
-//    invariant under relabeling — asserted by tests — while real-machine
-//    effects (wall time, hardware misses) may not be: that gap is exactly
-//    what the layout sweep axis measures.
+// NodeOrder is a permutation of node ids, making the *physical order* of
+// nodes in memory an experimental variable, motivated by the paper's
+// cache-locality argument. The paper holds layout fixed; with
+// relabeled_graph any graph can be laid out in construction order, DFS
+// order, the 1-processor baseline's execution order, or a seeded random
+// order, and results map back to original ids through the permutation.
+// Scheduling measures (deviations, simulated misses) are invariant under
+// relabeling — asserted by tests — while real-machine effects (wall time,
+// hardware misses) may not be: that gap is exactly what the layout sweep
+// axis measures.
 #pragma once
 
 #include <cstddef>
@@ -79,87 +66,5 @@ NodeOrder random_order(const Graph& g, std::uint64_t seed);
 /// sched::make_node_order, which runs the baseline).
 NodeOrder order_from_sequence(const Graph& g, NodeOrderKind kind,
                               std::span<const NodeId> sequence);
-
-/// Read-only SoA/CSR view of a Graph. Construction is O(nodes + edges);
-/// the view borrows the Graph, which must outlive it. All ids are the
-/// graph's own — a layout never re-orders anything (use relabeled_graph
-/// for that).
-class GraphLayout {
- public:
-  explicit GraphLayout(const Graph& g);
-
-  const Graph& graph() const { return *g_; }
-  std::size_t num_nodes() const { return thread_of_.size(); }
-  std::size_t num_edges() const { return succ_.size(); }
-  NodeId root() const { return g_->root(); }
-  NodeId final_node() const { return final_; }
-
-  // ---- flat per-node arrays ----
-  ThreadId thread_of(NodeId v) const { return thread_of_[v]; }
-  BlockId block_of(NodeId v) const { return block_of_[v]; }
-  /// Total in-degree including super-final predecessors of the final node.
-  std::uint32_t in_degree(NodeId v) const { return in_degree_[v]; }
-
-  bool is_fork(NodeId v) const { return (flags_[v] & kFork) != 0; }
-  bool is_touch(NodeId v) const { return (flags_[v] & kTouch) != 0; }
-  bool is_future_parent(NodeId v) const {
-    return (flags_[v] & kFutureParent) != 0;
-  }
-
-  // ---- CSR adjacency ----
-  /// Out half-edges of v (kinds included), super-final edges included for
-  /// their producers.
-  std::span<const HalfEdge> successors(NodeId v) const {
-    return {succ_.data() + succ_off_[v], succ_off_[v + 1] - succ_off_[v]};
-  }
-  /// In half-edges of v; for the final node this includes the super-final
-  /// touch predecessors (unlike Graph::node(v).in, which has only 2 slots).
-  std::span<const HalfEdge> predecessors(NodeId v) const {
-    return {pred_.data() + pred_off_[v], pred_off_[v + 1] - pred_off_[v]};
-  }
-
-  // ---- precomputed per-node relations (kInvalidNode when inapplicable) ----
-  /// For a fork: first node of the spawned thread.
-  NodeId fork_left_child(NodeId fork) const { return left_child_[fork]; }
-  /// For a fork: continuation of the parent thread.
-  NodeId fork_right_child(NodeId fork) const { return right_child_[fork]; }
-  /// For a touch: the predecessor across the incoming touch edge.
-  NodeId future_parent_of(NodeId touch) const {
-    return future_parent_[touch];
-  }
-  /// For a touch: the fork that spawned its future thread (kInvalidNode
-  /// when the future thread is main).
-  NodeId corresponding_fork_of(NodeId touch) const {
-    return corr_fork_[touch];
-  }
-
-  // ---- per-thread touch ranges ----
-  std::span<const NodeId> touches_of_thread(ThreadId t) const {
-    return g_->touches_of_thread(t);
-  }
-
- private:
-  static constexpr std::uint8_t kFork = 1;
-  static constexpr std::uint8_t kTouch = 2;
-  static constexpr std::uint8_t kFutureParent = 4;
-
-  const Graph* g_;
-  NodeId final_ = kInvalidNode;
-
-  std::vector<ThreadId> thread_of_;
-  std::vector<BlockId> block_of_;
-  std::vector<std::uint32_t> in_degree_;
-  std::vector<std::uint8_t> flags_;
-
-  std::vector<std::uint32_t> succ_off_;
-  std::vector<HalfEdge> succ_;
-  std::vector<std::uint32_t> pred_off_;
-  std::vector<HalfEdge> pred_;
-
-  std::vector<NodeId> left_child_;
-  std::vector<NodeId> right_child_;
-  std::vector<NodeId> future_parent_;
-  std::vector<NodeId> corr_fork_;
-};
 
 }  // namespace wsf::core

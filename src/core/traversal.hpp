@@ -7,27 +7,21 @@
 
 #include "core/graph.hpp"
 #include "core/ids.hpp"
-#include "core/layout.hpp"
 
 namespace wsf::core {
 
 /// Kahn topological order over all nodes. The returned order respects every
 /// edge kind (continuation, future, touch, super-final). If the graph has a
-/// cycle, the order covers fewer nodes than num_nodes(). The Graph overload
-/// builds a transient layout view; callers holding a GraphLayout already
-/// should pass it directly.
-std::vector<NodeId> topological_order(const GraphLayout& layout);
+/// cycle, the order covers fewer nodes than num_nodes().
 std::vector<NodeId> topological_order(const Graph& g);
 
 /// For every node, the length (in nodes) of the longest directed path from
 /// the root ending at that node; dist[root] == 1.
-std::vector<std::uint32_t> longest_path_from_root(const GraphLayout& layout);
 std::vector<std::uint32_t> longest_path_from_root(const Graph& g);
 
 /// The computation span T_inf: number of nodes on a critical path. The paper
 /// measures path "length"; with unit-time nodes, counting nodes equals
 /// execution time of the critical path, which is the quantity the bounds use.
-std::uint32_t span(const GraphLayout& layout);
 std::uint32_t span(const Graph& g);
 
 /// Work T_1 = total number of nodes (each node is one unit task).
@@ -56,7 +50,6 @@ struct DagStats {
   std::size_t distinct_blocks = 0;
 };
 
-DagStats compute_stats(const GraphLayout& layout);
 DagStats compute_stats(const Graph& g);
 
 }  // namespace wsf::core

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/deviation.hpp"
-#include "core/layout.hpp"
 #include "core/policy.hpp"
 #include "core/traversal.hpp"
 #include "exp/sweep.hpp"
@@ -53,11 +52,10 @@ class RuntimeBackend final : public Backend {
                      cfg.options.steal_policy, cfg.options.victim_policy);
 
     SweepCell cell;
-    const core::GraphLayout layout(g);
-    cell.stats = core::compute_stats(layout);
+    cell.stats = core::compute_stats(g);
     // The deviation measure is defined against the same sequential baseline
     // as the simulator's (policy + touch-enable rule; seed-independent).
-    const sched::SeqResult seq = sched::run_sequential(layout, cfg.options);
+    const sched::SeqResult seq = sched::run_sequential(g, cfg.options);
     core::DeviationCounter dev_counter(g, seq.order);
     runtime::GraphReplayer replayer(g);
     runtime::ReplayOptions replay_opts;

@@ -163,13 +163,13 @@ SweepCell run_replicates(const core::Graph& g, sched::SimOptions opts,
   // deviation report).
   sched::Simulator sim(g, opts);
   // The DAG stats and the sequential baseline are seed-independent, so they
-  // are computed once per cell, on the simulator's layout, instead of once
-  // per replicate the way a per-seed run_experiment() loop would; each
-  // replicate then runs only the parallel simulation and the deviation
-  // comparison. Cell values are identical to run_experiment()'s by
-  // construction (the baseline reads neither the seed nor record_trace).
-  cell.stats = core::compute_stats(sim.layout());
-  const sched::SeqResult seq = sched::run_sequential(sim.layout(), opts);
+  // are computed once per cell instead of once per replicate the way a
+  // per-seed run_experiment() loop would; each replicate then runs only the
+  // parallel simulation and the deviation comparison. Cell values are
+  // identical to run_experiment()'s by construction (the baseline reads
+  // neither the seed nor record_trace).
+  cell.stats = core::compute_stats(g);
+  const sched::SeqResult seq = sched::run_sequential(g, opts);
   core::DeviationCounter dev_counter(g, seq.order);
   for (std::uint64_t k = 0; k < seed_count; ++k) {
     if (k > 0) sim.reset(seed_base + k);

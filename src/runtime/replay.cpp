@@ -10,12 +10,12 @@
 
 namespace wsf::runtime {
 
-GraphReplayer::GraphReplayer(const core::Graph& g) : g_(g), layout_(g) {
+GraphReplayer::GraphReplayer(const core::Graph& g) : g_(g) {
   const std::size_t n = g_.num_nodes();
   event_index_.assign(n, -1);
   std::size_t count = 0;
   for (core::NodeId v = 0; v < static_cast<core::NodeId>(n); ++v) {
-    for (const core::HalfEdge& out : layout_.successors(v))
+    for (const core::HalfEdge& out : g_.successors(v))
       if (out.kind == core::EdgeKind::Touch)
         event_index_[v] = static_cast<std::int32_t>(count++);
   }
@@ -31,11 +31,11 @@ detail::FutureStateBase& GraphReplayer::event_of(core::NodeId producer) {
 }
 
 detail::FutureStateBase* GraphReplayer::unready_gate(core::NodeId v) {
-  if (layout_.is_touch(v)) {
-    detail::FutureStateBase& e = event_of(layout_.future_parent_of(v));
+  if (g_.is_touch(v)) {
+    detail::FutureStateBase& e = event_of(g_.future_parent_of(v));
     if (!e.ready()) return &e;
   }
-  if (v == layout_.final_node())
+  if (v == g_.final_node())
     for (const core::NodeId pred : g_.super_final_preds()) {
       detail::FutureStateBase& e = event_of(pred);
       if (!e.ready()) return &e;
@@ -47,9 +47,9 @@ void GraphReplayer::wait_gates(core::NodeId v) {
   // Figure 3 hazard accounting, mirroring the simulator: the consumer
   // reached a touch that is not ready although the fork spawning its future
   // thread has not even executed (impossible in structured computations).
-  if (layout_.is_touch(v) && v != layout_.final_node() &&
-      !event_of(layout_.future_parent_of(v)).ready()) {
-    const core::NodeId fork = layout_.corresponding_fork_of(v);
+  if (g_.is_touch(v) && v != g_.final_node() &&
+      !event_of(g_.future_parent_of(v)).ready()) {
+    const core::NodeId fork = g_.corresponding_fork_of(v);
     // relaxed ×2: executed_ is a hazard-accounting probe — a stale 0 at
     // worst overcounts a racy premature touch, which is what the measure
     // means; premature_ is a statistics counter read only after collect()'s
@@ -109,10 +109,10 @@ void GraphReplayer::run_thread(core::ThreadId tid) {
     wait_gates(v);
     record(v);
     core::NodeId cont = core::kInvalidNode;
-    if (layout_.is_fork(v)) {
-      cont = layout_.fork_right_child(v);
+    if (g_.is_fork(v)) {
+      cont = g_.fork_right_child(v);
       const core::ThreadId child =
-          layout_.thread_of(layout_.fork_left_child(v));
+          g_.thread_of(g_.fork_left_child(v));
       // A real future per spawned thread; the scheduler's core::ForkPolicy
       // decides whether the child runs inline with the parent
       // continuation pushed (future-first) or is pushed while the parent
@@ -122,7 +122,7 @@ void GraphReplayer::run_thread(core::ThreadId tid) {
       (void)spawn([this, child] { run_thread(child); });
     } else {
       core::NodeId touch_target = core::kInvalidNode;
-      for (const core::HalfEdge& out : layout_.successors(v)) {
+      for (const core::HalfEdge& out : g_.successors(v)) {
         if (out.kind == core::EdgeKind::Continuation)
           cont = out.node;
         else if (out.kind == core::EdgeKind::Touch)
@@ -160,7 +160,7 @@ void GraphReplayer::prepare(std::uint32_t workers,
 void GraphReplayer::submit(Scheduler& sched, const ReplayOptions& opts) {
   prepare(sched.num_workers(), opts);
   handle_ = sched.submit(
-      [this] { run_thread(layout_.thread_of(layout_.root())); },
+      [this] { run_thread(g_.thread_of(g_.root())); },
       {.counters = opts.job_counters,
        .priority = opts.priority,
        .deadline = opts.deadline});
@@ -169,7 +169,7 @@ void GraphReplayer::submit(Scheduler& sched, const ReplayOptions& opts) {
 void GraphReplayer::stage(Batch& batch, const ReplayOptions& opts) {
   prepare(batch.scheduler().num_workers(), opts);
   handle_ = batch.add(
-      [this] { run_thread(layout_.thread_of(layout_.root())); },
+      [this] { run_thread(g_.thread_of(g_.root())); },
       {.counters = opts.job_counters,
        .priority = opts.priority,
        .deadline = opts.deadline});

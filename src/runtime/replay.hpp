@@ -29,7 +29,6 @@
 
 #include "core/graph.hpp"
 #include "core/ids.hpp"
-#include "core/layout.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/future.hpp"
 #include "runtime/pool.hpp"
@@ -122,9 +121,6 @@ class GraphReplayer {
   detail::FutureStateBase& event_of(core::NodeId producer);
 
   const core::Graph& g_;
-  /// SoA/CSR view of g_ — every per-node query on the replay hot path
-  /// (kinds, fork children, future parents, successors) is an indexed load.
-  core::GraphLayout layout_;
   /// events_[event_index_[v]] is published when v (a node with an outgoing
   /// touch edge, including super-final predecessors) executes.
   std::vector<std::int32_t> event_index_;

@@ -23,7 +23,12 @@ RandomController::RandomController(std::uint64_t seed, double stall_prob,
     : rng_(seed),
       stall_prob_(stall_prob),
       steal_nonempty_only_(steal_nonempty_only),
-      victim_policy_(victim_policy) {}
+      victim_policy_(victim_policy) {
+  // At 1 no processor ever acts, so a run could only end at the round
+  // budget; a negative value would silently act as 0.
+  WSF_REQUIRE(stall_prob >= 0.0 && stall_prob < 1.0,
+              "stall probability " << stall_prob << " is outside [0, 1)");
+}
 
 void RandomController::on_start(const Simulator& sim) {
   // "None yet" is each thief's own index (a thief never steals from

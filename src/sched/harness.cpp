@@ -39,12 +39,9 @@ ExperimentResult run_experiment(const core::Graph& g, const SimOptions& opts,
   // order, so the parallel run always records its trace.
   SimOptions par_opts = opts;
   par_opts.record_trace = true;
-  // The stats and the baseline read the simulator's layout, so the
-  // experiment builds one.
-  Simulator sim(g, par_opts, controller);
-  r.stats = core::compute_stats(sim.layout());
-  r.seq = run_sequential(sim.layout(), opts);
-  r.par = sim.run();
+  r.stats = core::compute_stats(g);
+  r.seq = run_sequential(g, opts);
+  r.par = simulate(g, par_opts, controller);
   r.deviations = core::count_deviations(g, r.seq.order, r.par.proc_orders);
   r.additional_misses = static_cast<std::int64_t>(r.par.total_misses()) -
                         static_cast<std::int64_t>(r.seq.misses);

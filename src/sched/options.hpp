@@ -50,7 +50,7 @@ struct SimOptions {
   /// With the default controller, probability that an awake processor stalls
   /// for a round — injects schedule diversity so steals (and therefore
   /// deviations) actually happen; the paper's bounds hold under any such
-  /// adversarial delays.
+  /// adversarial delays. Must lie in [0, 1).
   double stall_prob = 0.0;
   /// Default controller only steals from victims with non-empty deques. In
   /// a real ABP scheduler failed attempts are still possible under races

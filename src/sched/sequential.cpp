@@ -10,9 +10,8 @@
 
 namespace wsf::sched {
 
-SeqResult run_sequential(const core::GraphLayout& layout,
-                         const SimOptions& opts) {
-  const std::size_t n = layout.num_nodes();
+SeqResult run_sequential(const core::Graph& g, const SimOptions& opts) {
+  const std::size_t n = g.num_nodes();
   SeqResult result;
   result.order.reserve(n);
   result.position.assign(n, 0);
@@ -25,14 +24,14 @@ SeqResult run_sequential(const core::GraphLayout& layout,
   // last predecessor executes.
   std::vector<std::uint32_t> pending(n);
   for (core::NodeId v = 0; v < static_cast<core::NodeId>(n); ++v)
-    pending[v] = layout.in_degree(v);
+    pending[v] = static_cast<std::uint32_t>(g.in_degree(v));
 
   std::vector<core::NodeId> deque;  // bottom = back (LIFO for the owner)
-  core::NodeId current = layout.root();
+  core::NodeId current = g.root();
 
   while (true) {
     // ---- execute `current` ----
-    const core::BlockId block = layout.block_of(current);
+    const core::BlockId block = g.block_of(current);
     if (cache && block != core::kNoBlock) {
       if (cache->access(block)) ++result.misses;
     }
@@ -42,7 +41,7 @@ SeqResult run_sequential(const core::GraphLayout& layout,
     // ---- collect children enabled by this execution ----
     core::HalfEdge enabled[2];
     int enabled_count = 0;
-    for (const core::HalfEdge& out : layout.successors(current)) {
+    for (const core::HalfEdge& out : g.successors(current)) {
       WSF_DCHECK(pending[out.node] > 0);
       if (--pending[out.node] == 0) enabled[enabled_count++] = out;
     }
@@ -54,7 +53,7 @@ SeqResult run_sequential(const core::GraphLayout& layout,
       // unless both are touch edges (super-final producer), where order is
       // immaterial (the final node runs last anyway).
       int take = 0;
-      if (layout.is_fork(current)) {
+      if (g.is_fork(current)) {
         const bool take_future =
             opts.policy == core::ForkPolicy::FutureFirst;
         take = (enabled[0].kind == core::EdgeKind::Future) == take_future
@@ -84,10 +83,6 @@ SeqResult run_sequential(const core::GraphLayout& layout,
                 << result.order.size() << " of " << n
                 << " nodes — the DAG is not well formed");
   return result;
-}
-
-SeqResult run_sequential(const core::Graph& g, const SimOptions& opts) {
-  return run_sequential(core::GraphLayout(g), opts);
 }
 
 core::NodeOrder make_node_order(const core::Graph& g,

@@ -28,10 +28,7 @@ struct SeqResult {
 /// Executes the whole DAG on one processor under the given fork policy and
 /// touch-enable rule, optionally simulating a cache of opts.cache_lines
 /// lines. Only `policy`, `touch_enable`, `cache_lines` and `cache_policy`
-/// of the options are consulted. The layout overload runs on an existing
-/// SoA view; the Graph overload builds a transient one.
-SeqResult run_sequential(const core::GraphLayout& layout,
-                         const SimOptions& opts);
+/// of the options are consulted.
 SeqResult run_sequential(const core::Graph& g, const SimOptions& opts);
 
 /// Builds the NodeOrder of the given kind for g. The `sequential` order is

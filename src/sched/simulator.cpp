@@ -12,7 +12,7 @@ namespace wsf::sched {
 
 Simulator::Simulator(const core::Graph& g, const SimOptions& opts,
                      ScheduleController* controller)
-    : g_(g), layout_(g), opts_(opts), controller_(controller) {
+    : g_(g), opts_(opts), controller_(controller) {
   WSF_REQUIRE(opts_.procs >= 1, "need at least one processor");
   if (!controller_) {
     owned_controller_ = std::make_unique<RandomController>(
@@ -36,7 +36,7 @@ Simulator::Simulator(const core::Graph& g, const SimOptions& opts,
 void Simulator::reset_state() {
   const std::size_t n = g_.num_nodes();
   for (core::NodeId v = 0; v < static_cast<core::NodeId>(n); ++v)
-    pending_[v] = layout_.in_degree(v);
+    pending_[v] = static_cast<std::uint32_t>(g_.in_degree(v));
   std::fill(executed_.begin(), executed_.end(), 0);
   std::fill(current_.begin(), current_.end(), core::kInvalidNode);
   for (auto& deque : deques_) deque.clear();  // keeps the ring buffers
@@ -189,7 +189,7 @@ void Simulator::try_steal(core::ProcId p) {
 
 void Simulator::execute(core::ProcId p, core::NodeId v) {
   WSF_DCHECK(!executed_[v], "node executed twice");
-  const core::BlockId block = layout_.block_of(v);
+  const core::BlockId block = g_.block_of(v);
   if (!caches_.empty() && block != core::kNoBlock) {
     if (caches_[p]->access(block)) ++result_.misses_per_proc[p];
   }
@@ -203,18 +203,18 @@ void Simulator::execute(core::ProcId p, core::NodeId v) {
 
   core::HalfEdge enabled[2];
   int enabled_count = 0;
-  for (const core::HalfEdge& out : layout_.successors(v)) {
+  for (const core::HalfEdge& out : g_.successors(v)) {
     const core::NodeId succ = out.node;
     WSF_DCHECK(pending_[succ] > 0);
     if (--pending_[succ] == 0) {
       enabled[enabled_count++] = out;
     } else if (out.kind == core::EdgeKind::Continuation &&
-               layout_.is_touch(succ) && succ != layout_.final_node()) {
+               g_.is_touch(succ) && succ != g_.final_node()) {
       // The processor just reached (checked) a touch that is not ready. If
       // the fork spawning the touched future has not even executed yet, the
       // touch was checked before its future thread exists — the Figure 3
       // hazard that structured computations exclude.
-      const core::NodeId fork = layout_.corresponding_fork_of(succ);
+      const core::NodeId fork = g_.corresponding_fork_of(succ);
       if (fork != core::kInvalidNode && !executed_[fork])
         ++result_.premature_touches;
     }
@@ -223,7 +223,7 @@ void Simulator::execute(core::ProcId p, core::NodeId v) {
 
   if (enabled_count == 2) {
     int take = 0;
-    if (layout_.is_fork(v)) {
+    if (g_.is_fork(v)) {
       const bool take_future = opts_.policy == core::ForkPolicy::FutureFirst;
       take =
           (enabled[0].kind == core::EdgeKind::Future) == take_future ? 0 : 1;

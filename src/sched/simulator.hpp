@@ -25,7 +25,6 @@
 
 #include "cache/cache.hpp"
 #include "core/graph.hpp"
-#include "core/layout.hpp"
 #include "sched/controller.hpp"
 #include "sched/options.hpp"
 #include "sched/trace.hpp"
@@ -66,8 +65,6 @@ class Simulator {
 
   // ---- controller-facing const interface ----
   const core::Graph& graph() const { return g_; }
-  /// The SoA/CSR view the hot loop runs on (same node ids as graph()).
-  const core::GraphLayout& layout() const { return layout_; }
   std::uint32_t num_procs() const { return opts_.procs; }
   std::uint64_t round() const { return round_; }
   bool executed(core::NodeId v) const { return executed_[v] != 0; }
@@ -89,9 +86,6 @@ class Simulator {
   void reset_state();
 
   const core::Graph& g_;
-  /// Flat SoA/CSR view of g_; every per-node query in the execution loop
-  /// (successors, kinds, blocks, corresponding forks) is an indexed load.
-  core::GraphLayout layout_;
   SimOptions opts_;
   ScheduleController* controller_;
   std::unique_ptr<RandomController> owned_controller_;

@@ -158,9 +158,9 @@ TEST(StolenNodes, RecordedInStealOrder) {
   EXPECT_EQ(r.stolen_nodes.size(), r.steals);
   // Every stolen node is a fork child (only fork children enter deques).
   for (core::NodeId v : r.stolen_nodes) {
-    const auto& node = gen.graph.node(v);
-    ASSERT_EQ(node.in_count, 1);
-    EXPECT_TRUE(gen.graph.is_fork(node.in[0].node));
+    const auto preds = gen.graph.predecessors(v);
+    ASSERT_EQ(preds.size(), 1u);
+    EXPECT_TRUE(gen.graph.is_fork(preds[0].node));
   }
 }
 

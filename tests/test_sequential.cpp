@@ -32,11 +32,9 @@ void expect_is_permutation(const Graph& g, const SeqResult& r) {
     seen[v] = 1;
   }
   // Dependency order: every node executes after all its predecessors.
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& n = g.node(v);
-    for (std::uint8_t i = 0; i < n.out_count; ++i)
-      EXPECT_LT(r.position[v], r.position[n.out[i].node]);
-  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (const core::HalfEdge& out : g.successors(v))
+      EXPECT_LT(r.position[v], r.position[out.node]);
 }
 
 TEST(Sequential, ChainRunsInOrder) {

@@ -48,6 +48,30 @@ TEST(Simulator, ExecutesEveryNodeOnceAcrossProcs) {
   }
 }
 
+// A stall probability of 1 would keep every processor asleep until the
+// round budget runs out, and a negative one would silently act as 0: the
+// default controller rejects both, naming the option.
+TEST(Simulator, StallProbabilityMustLieInUnitInterval) {
+  const auto gen = graphs::make_named("forkjoin", {.size = 4, .size2 = 2});
+  SimOptions opts;
+  opts.procs = 4;
+  for (const double bad : {-0.1, 1.0, 1.5}) {
+    opts.stall_prob = bad;
+    try {
+      (void)sched::simulate(gen.graph, opts);
+      ADD_FAILURE() << "stall_prob " << bad << " was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("stall probability"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const double ok : {0.0, 0.5}) {
+    opts.stall_prob = ok;
+    expect_complete(gen.graph, sched::simulate(gen.graph, opts));
+  }
+}
+
 TEST(Simulator, ResetReproducesFreshConstruction) {
   const auto gen =
       graphs::make_named("fig6a", {.size = 5, .size2 = 3, .cache_lines = 4});

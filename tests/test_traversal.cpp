@@ -23,11 +23,9 @@ TEST(Traversal, TopoCoversAllNodesAndRespectsEdges) {
   ASSERT_EQ(topo.size(), g.num_nodes());
   std::vector<std::size_t> pos(g.num_nodes());
   for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const Node& n = g.node(v);
-    for (std::uint8_t i = 0; i < n.out_count; ++i)
-      EXPECT_LT(pos[v], pos[n.out[i].node]);
-  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (const HalfEdge& out : g.successors(v))
+      EXPECT_LT(pos[v], pos[out.node]);
 }
 
 TEST(Traversal, SpanOfChainIsLength) {

@@ -18,8 +18,9 @@
 //                        closed-loop as-fast-as-possible
 //   --deadline=D         per-job deadline (us); expired queued jobs are
 //                        shed at take-time and reported as shed
-//   --expect-overload    exit nonzero unless the run actually shed or
-//                        rejected work (guards overload smokes in CI)
+//   --expect-overload    exit 4 unless the run actually overloaded: some
+//                        admission failed (retried or given up) or some
+//                        job was shed (guards overload smokes in CI)
 // Every run self-checks the admission identities:
 //   completed + shed + rejected == jobs offered
 //   admitted == completed + shed     (scheduler admission stats)
@@ -565,8 +566,8 @@ int main(int argc, char** argv) {
       "retries/gave_up)");
   auto& expect_overload = args.add_bool(
       "expect-overload", false,
-      "exit nonzero unless the run shed or rejected at least one job "
-      "(for CI overload smokes)");
+      "exit 4 unless some admission failed (retried or given up) or some "
+      "job was shed (for CI overload smokes)");
   auto& strict = args.add_bool(
       "strict", false,
       "exit nonzero if the measured phase created any fiber stack "
@@ -659,10 +660,14 @@ int main(int argc, char** argv) {
                        stats.steady_fibers_created));
       return 3;
     }
-    if (expect_overload.value && stats.rejected + stats.shed == 0) {
+    // Every failed admission counts, including the ones a --retry later
+    // absorbed: retries + gave_up is the scheduler's rejected + timed_out
+    // (reconciled in run_load).
+    if (expect_overload.value &&
+        stats.retries + stats.gave_up + stats.shed == 0) {
       std::fprintf(stderr,
-                   "wsf-load: --expect-overload: run completed every job "
-                   "(no shedding or rejection happened)\n");
+                   "wsf-load: --expect-overload: no admission failed and no "
+                   "job was shed\n");
       return 4;
     }
   } catch (const CheckError& e) {

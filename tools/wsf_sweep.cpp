@@ -211,7 +211,8 @@ int main(int argc, char** argv) {
       "nearest); applies to --smoke too");
   auto& cache_policy = args.add_string("cache-policy", "lru",
                                        "lru | fifo | direct | assocW");
-  auto& stall = args.add_double("stall", 0.2, "stall probability per round");
+  auto& stall = args.add_double("stall", 0.2,
+                                "stall probability per round, in [0, 1)");
   auto& seeds = args.add_int("seeds", 4, "schedule-seed replicates per cell");
   auto& seed_base = args.add_int("seed-base", 1, "first replicate seed");
   auto& threads = args.add_int("threads", 0,
