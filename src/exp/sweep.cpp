@@ -121,17 +121,25 @@ std::vector<SweepConfig> expand_spec(const SweepSpec& spec) {
 
 std::vector<graphs::GeneratedDag> generate_graphs(const SweepSpec& spec) {
   const std::vector<GraphAxis> axes = flatten_graph_axes(spec);
-  std::vector<graphs::GeneratedDag> out;
-  out.reserve(axes.size() * spec.cache_lines.size() * spec.layouts.size());
+  const std::size_t layouts = spec.layouts.size();
+  // One slot per (axis, cache_lines, layout), layout innermost; each graph
+  // is built in its slot, so none is copied whole.
+  std::vector<graphs::GeneratedDag> out(axes.size() * spec.cache_lines.size() *
+                                        layouts);
+  std::size_t group = 0;  // the first slot of this (axis, cache_lines)
   for (const GraphAxis& axis : axes) {
     for (const std::size_t lines : spec.cache_lines) {
       graphs::RegistryParams params = axis.params;
       params.cache_lines = lines;
-      const graphs::GeneratedDag base = graphs::make_named(axis.family,
-                                                           params);
-      for (const core::NodeOrderKind kind : spec.layouts) {
+      graphs::GeneratedDag base = graphs::make_named(axis.family, params);
+      // The relabeled variants read base first; base then moves into the
+      // last construction-order slot (a repeated layout gets a copy).
+      std::size_t construction = layouts;
+      for (std::size_t li = 0; li < layouts; ++li) {
+        const core::NodeOrderKind kind = spec.layouts[li];
         if (kind == core::NodeOrderKind::Construction) {
-          out.push_back(base);
+          if (construction != layouts) out[group + construction] = base;
+          construction = li;
           continue;
         }
         // Same DAG, nodes renumbered into the layout order; the random
@@ -139,11 +147,14 @@ std::vector<graphs::GeneratedDag> generate_graphs(const SweepSpec& spec) {
         // reproducible from the spec alone.
         const core::NodeOrder order =
             sched::make_node_order(base.graph, kind, axis.params.seed);
-        graphs::GeneratedDag variant = base;
+        graphs::GeneratedDag& variant = out[group + li];
         variant.graph = core::relabeled_graph(base.graph, order.new_id_of);
         variant.name = base.name + "@" + core::to_string(kind);
-        out.push_back(std::move(variant));
+        variant.notes = base.notes;
+        variant.expect = base.expect;
       }
+      if (construction != layouts) out[group + construction] = std::move(base);
+      group += layouts;
     }
   }
   return out;

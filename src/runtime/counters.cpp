@@ -29,6 +29,7 @@ void for_each_field(WorkerCounters& a, const WorkerCounters& b, F&& f) {
   f(a.continuations_pushed, b.continuations_pushed);
   f(a.wakes_pushed, b.wakes_pushed);
   f(a.fiber_resumes, b.fiber_resumes);
+  f(a.direct_switches, b.direct_switches);
   f(a.shed, b.shed);
   f(a.batch_steals, b.batch_steals);
   f(a.batch_stolen_items, b.batch_stolen_items);
@@ -84,6 +85,7 @@ std::string CountersReport::to_string() const {
      << " handoff_runs=" << t.handoff_runs
      << " cont_pushed=" << t.continuations_pushed
      << " wakes=" << t.wakes_pushed << " switches=" << t.fiber_resumes
+     << " direct=" << t.direct_switches
      << " shed=" << t.shed << " batch_steals=" << t.batch_steals << "/"
      << t.batch_stolen_items << " backoffs=" << t.steal_backoffs
      << " outstanding_rmws=" << t.outstanding_rmws;

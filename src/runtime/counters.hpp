@@ -85,6 +85,12 @@ class RelaxedCounter {
 ///       fiber_resumes == tasks_run + resumes + handoff_runs
 /// tests/test_runtime.cpp (Accounting suite) asserts all four.
 ///
+/// An activation is counted once whichever context switches into the
+/// fiber: the worker's scheduler context, or another fiber directly (a
+/// future-first spawn into its child; a finishing fiber into its handoff or
+/// into a Resume item it popped). `direct_switches` counts the latter
+/// subset, so the identities above do not depend on the route.
+///
 /// `shed` (jobs dropped past their deadline at inbox take-time) touches
 /// none of the acquisition counters — a shed job is popped from the inbox
 /// but never counted as an inbox_take and never runs — so the identities
@@ -129,9 +135,16 @@ struct alignas(64) WorkerCounters {
   /// Parked fibers woken by pushing their Resume item instead of a handoff
   /// (continuation-first wakes and lost-park fallbacks).
   RelaxedCounter wakes_pushed;
-  /// Context switches into a fiber (the replay layer's "fiber switches"
-  /// measure).
+  /// Activations of a fiber: every switch into one, from the scheduler
+  /// context or straight from another fiber (the replay layer's "fiber
+  /// switches" measure).
   RelaxedCounter fiber_resumes;
+  /// The activations that came straight from another fiber rather than
+  /// from the scheduler context: a future-first spawn switching into its
+  /// child, and a finishing fiber switching into its handoff or into the
+  /// same job's Resume item it popped. On one worker with nothing stolen,
+  /// a future-first spawn makes two and a parked parent-first touch one.
+  RelaxedCounter direct_switches;
   /// Jobs this worker shed at inbox take-time because their deadline had
   /// expired before they started (they never ran; see the class comment
   /// for how this reconciles with the acquisition identities).

@@ -183,6 +183,21 @@ void Fiber::rebind(FiberFn fn) {
   started_ = false;
   finished_ = false;
   return_to_ = nullptr;
+  exit_to_ = nullptr;
+}
+
+// Every switch into a fiber lands in one of three places: the trampoline's
+// first instructions (a fresh fiber), or the return from switch_out() inside
+// suspend() or switch_into(). Each completes the switch for ASan here. A
+// switch from a native context (resume) tells ASan the resumer's stack
+// extent, which this fiber's next suspend() announces; after a direct switch
+// that extent names the previous fiber's stack, so it is not taken: the
+// switching fiber handed over its own return context's extent instead.
+__attribute__((always_inline)) inline void Fiber::finish_landing(
+    [[maybe_unused]] void* fake_stack) {
+  WSF_ASAN_FINISH_SWITCH(fake_stack,
+                         entered_directly_ ? nullptr : &resumer_stack_,
+                         entered_directly_ ? nullptr : &resumer_size_);
 }
 
 #if defined(__x86_64__)
@@ -193,83 +208,119 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
       (static_cast<std::uintptr_t>(hi) << 32) |
       static_cast<std::uintptr_t>(lo));
 #endif
-  // First instructions on the fiber stack: complete the switch that
-  // resume() started, learning the resumer's stack extent for suspend().
-  // Nothing may run before this — in particular no call ASan could treat as
-  // noreturn, whose stack unpoisoning would still use the resumer's bounds.
-  WSF_ASAN_FINISH_SWITCH(nullptr, &self->resumer_stack_, &self->resumer_size_);
+  // First instructions on the fiber stack: complete the switch that started
+  // this fiber. Nothing may run before this — in particular no call ASan
+  // could treat as noreturn, whose stack unpoisoning would still use the
+  // previous stack's bounds.
+  self->finish_landing(nullptr);
   self->fn_();
   // Returning would fall off the base of the fiber stack; instead mark
-  // finished and switch back for good.
+  // finished and switch away for good — into the exit_into() target, or
+  // back to the return context. The nullptr fake-stack save lets ASan
+  // release this fiber's frames.
   self->finished_ = true;
-  // nullptr fake-stack save: this fiber is done, let ASan release its frames.
-  WSF_ASAN_START_SWITCH(nullptr, self->resumer_stack_, self->resumer_size_);
-  WSF_TSAN_SWITCH(self->resumer_tsan_);
-  switch_context(&self->context_, self->return_to_);  // never returns
+  self->switch_out(nullptr, self->exit_to_);  // never returns
   WSF_CHECK(false, "resumed a finished fiber");
+}
+
+void Fiber::start_if_fresh() {
+  if (started_) return;
+  started_ = true;
+#if defined(__x86_64__)
+  // The 9 words wsf_fiber_switch pops (see above) under 2 words of
+  // padding, so that its ret enters wsf_fiber_entry with the stack 16-byte
+  // aligned, as after a call: the entry stub's own call then gives the
+  // trampoline the ABI's entry alignment. A fresh fiber inherits the
+  // floating-point control state of the context that starts it, as it would
+  // with makecontext; rbp = 0 ends frame-pointer backtraces here.
+  //
+  // One plain store per popped word, and the padding left as it is: the
+  // switch reads exactly these 9 words. GCC compiles a std::fill or memset
+  // of the frame to `rep stosq`, whose startup cost was about a third of a
+  // 1-worker spawn/touch.
+  constexpr std::size_t kFrameWords = 11;
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  auto* top = reinterpret_cast<std::uintptr_t*>(stack_ + stack_bytes_);
+  std::uintptr_t* frame = top - kFrameWords;
+  WSF_ASAN_UNPOISON(frame, kFrameWords * sizeof(std::uintptr_t));
+  frame[0] = fpu_cw;
+  frame[1] = mxcsr;
+  frame[2] = 0;                                                   // r15
+  frame[3] = 0;                                                   // r14
+  frame[4] = reinterpret_cast<std::uintptr_t>(&trampoline);       // r13
+  frame[5] = reinterpret_cast<std::uintptr_t>(this);              // r12
+  frame[6] = 0;                                                   // rbx
+  frame[7] = 0;                                                   // rbp
+  frame[8] = reinterpret_cast<std::uintptr_t>(&wsf_fiber_entry);  // ret
+  context_.sp = frame;
+#else
+  WSF_CHECK(getcontext(&context_) == 0, "getcontext failed");
+  context_.uc_stack.ss_sp = stack_;
+  context_.uc_stack.ss_size = stack_bytes_;
+  context_.uc_link = nullptr;
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
+              2, static_cast<unsigned>(self >> 32),
+              static_cast<unsigned>(self & 0xffffffffu));
+#endif
 }
 
 void Fiber::resume(Context* from) {
   WSF_REQUIRE(!finished_, "resume of a finished fiber");
   return_to_ = from;
-  if (!started_) {
-    started_ = true;
-#if defined(__x86_64__)
-    // The 9 words wsf_fiber_switch pops (see above) under 2 words of
-    // padding, so that its ret enters wsf_fiber_entry with the stack 16-byte
-    // aligned, as after a call: the entry stub's own call then gives the
-    // trampoline the ABI's entry alignment. A fresh fiber inherits the
-    // resumer's floating-point control state, as it would with makecontext;
-    // rbp = 0 ends frame-pointer backtraces here.
-    //
-    // One plain store per popped word, and the padding left as it is: the
-    // switch below reads exactly these 9 words. GCC compiles a std::fill or
-    // memset of the frame to `rep stosq`, whose startup cost was about a
-    // third of a 1-worker spawn/touch.
-    constexpr std::size_t kFrameWords = 11;
-    std::uint32_t mxcsr = 0;
-    std::uint16_t fpu_cw = 0;
-    asm volatile("stmxcsr %0" : "=m"(mxcsr));
-    asm volatile("fnstcw %0" : "=m"(fpu_cw));
-    auto* top = reinterpret_cast<std::uintptr_t*>(stack_ + stack_bytes_);
-    std::uintptr_t* frame = top - kFrameWords;
-    WSF_ASAN_UNPOISON(frame, kFrameWords * sizeof(std::uintptr_t));
-    frame[0] = fpu_cw;
-    frame[1] = mxcsr;
-    frame[2] = 0;                                                   // r15
-    frame[3] = 0;                                                   // r14
-    frame[4] = reinterpret_cast<std::uintptr_t>(&trampoline);       // r13
-    frame[5] = reinterpret_cast<std::uintptr_t>(this);              // r12
-    frame[6] = 0;                                                   // rbx
-    frame[7] = 0;                                                   // rbp
-    frame[8] = reinterpret_cast<std::uintptr_t>(&wsf_fiber_entry);  // ret
-    context_.sp = frame;
-#else
-    WSF_CHECK(getcontext(&context_) == 0, "getcontext failed");
-    context_.uc_stack.ss_sp = stack_;
-    context_.uc_stack.ss_size = stack_bytes_;
-    context_.uc_link = nullptr;
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                2, static_cast<unsigned>(self >> 32),
-                static_cast<unsigned>(self & 0xffffffffu));
-#endif
-  }
+  entered_directly_ = false;
+  start_if_fresh();
   resumer_tsan_ = WSF_TSAN_CURRENT();
-  WSF_ASAN_START_SWITCH(&resumer_fake_stack_, stack_, stack_bytes_);
+  // The resumer's fake stack is saved on the resumer's own stack: the
+  // context that comes back may be another fiber, and by then this one may
+  // be finished and rebound on another thread.
+  [[maybe_unused]] void* fake_stack = nullptr;
+  WSF_ASAN_START_SWITCH(&fake_stack, stack_, stack_bytes_);
   WSF_TSAN_SWITCH(tsan_fiber_);
   switch_context(from, &context_);
-  // Back on the resumer's stack (the fiber suspended or finished).
-  WSF_ASAN_FINISH_SWITCH(resumer_fake_stack_, nullptr, nullptr);
+  // Back on the resumer's stack: this fiber, or one it switched into
+  // directly, suspended or finished. Touch no member of `this` here.
+  WSF_ASAN_FINISH_SWITCH(fake_stack, nullptr, nullptr);
+}
+
+void Fiber::switch_out([[maybe_unused]] void** fake_stack_save,
+                       Fiber* next) {
+  if (next == nullptr) {
+    WSF_ASAN_START_SWITCH(fake_stack_save, resumer_stack_, resumer_size_);
+    WSF_TSAN_SWITCH(resumer_tsan_);
+    switch_context(&context_, return_to_);
+    return;
+  }
+  WSF_REQUIRE(next != this && !next->finished_,
+              "switch into a finished or running fiber");
+  // The return context moves with the switch: the native context it names,
+  // its stack extent for ASan and its TSan fiber.
+  next->return_to_ = return_to_;
+  next->resumer_stack_ = resumer_stack_;
+  next->resumer_size_ = resumer_size_;
+  next->resumer_tsan_ = resumer_tsan_;
+  next->entered_directly_ = true;
+  next->start_if_fresh();
+  WSF_ASAN_START_SWITCH(fake_stack_save, next->stack_, next->stack_bytes_);
+  WSF_TSAN_SWITCH(next->tsan_fiber_);
+  switch_context(&context_, &next->context_);
 }
 
 void Fiber::suspend() {
-  WSF_ASAN_START_SWITCH(&fiber_fake_stack_, resumer_stack_, resumer_size_);
-  WSF_TSAN_SWITCH(resumer_tsan_);
-  switch_context(&context_, return_to_);
-  // Resumed again, possibly from a different worker thread: refresh the
-  // resumer stack extent before the next suspension.
-  WSF_ASAN_FINISH_SWITCH(fiber_fake_stack_, &resumer_stack_, &resumer_size_);
+  [[maybe_unused]] void* fake_stack = nullptr;
+  switch_out(&fake_stack, nullptr);
+  // Resumed again, possibly from a different worker thread or straight from
+  // another fiber.
+  finish_landing(fake_stack);
+}
+
+void Fiber::switch_into(Fiber& next) {
+  [[maybe_unused]] void* fake_stack = nullptr;
+  switch_out(&fake_stack, &next);
+  finish_landing(fake_stack);
 }
 
 }  // namespace wsf::runtime

@@ -101,16 +101,23 @@ void Worker::main_loop() {
   tl_worker = nullptr;
 }
 
-Job* Worker::find_work() {
-  if (Job* j = deque_.pop_bottom()) {
+Job* Worker::pop_local() {
+  Job* j = deque_.pop_bottom();
+  if (j) {
     counters_.local_pops++;
     failed_steal_streak_ = 0;
-    return j;
   }
+  return j;
+}
+
+Job* Worker::find_work() {
+  if (Job* j = pop_local()) return j;
   // Nothing local left: the finished tasks' credits go back to their job
   // before this worker takes new work, steals or parks, so no job waits on
-  // an idle worker.
+  // an idle worker; and the spare stack goes onto the free list, where
+  // peers can borrow it (see spare_stack_).
   flush_credits();
+  if (spare_stack_) put_stack(std::move(spare_stack_));
   if (Job* j = sched_.take_injected(*this)) {
     counters_.inbox_takes++;
     failed_steal_streak_ = 0;
@@ -205,8 +212,9 @@ Job* Worker::steal_from(std::uint32_t victim) {
 
 Fiber* Worker::acquire_fiber(Job* task) {
   // One pointer: the entry closure fits MoveOnlyFunction's inline storage.
-  FiberFn body = [task] { task->run(task); };
-  std::unique_ptr<Fiber> f = take_stack();
+  FiberFn body = [task] { run_task(task); };
+  std::unique_ptr<Fiber> f = std::move(spare_stack_);
+  if (!f) f = take_stack();
   // Borrow one stack, never more: stacks then only ever sit in some
   // worker's list or in a live fiber, so a scan that finds every list empty
   // means every stack is in use.
@@ -228,9 +236,17 @@ Fiber* Worker::acquire_fiber(Job* task) {
 
 void Worker::recycle(std::unique_ptr<Fiber> f) {
   // Ownership follows the finisher: whichever worker ran the fiber to
-  // completion keeps its stack, on its own list. A fiber that migrated
-  // thus moves its stack to the thief's list; the victim, once its own
-  // list runs dry, borrows one back in acquire_fiber.
+  // completion keeps its stack. A fiber that migrated thus moves its stack
+  // to the thief; the victim, once its own slot and list run dry, borrows
+  // one back in acquire_fiber.
+  if (!spare_stack_) {
+    spare_stack_ = std::move(f);
+    return;
+  }
+  put_stack(std::move(f));
+}
+
+void Worker::put_stack(std::unique_ptr<Fiber> f) {
   support::LockGuard lock(stacks_mutex_);
   free_stacks_.push_back(std::move(f));
 }
@@ -244,6 +260,14 @@ std::unique_ptr<Fiber> Worker::take_stack() {
 }
 
 void Worker::execute(Job* job) {
+  // A finishing fiber passes back an item it popped but could not switch
+  // into; it runs next, as find_work would have popped it.
+  do {
+    job = run_fiber(begin_item(job));
+  } while (job != nullptr);
+}
+
+Fiber* Worker::begin_item(Job* job) {
   // Credits are per job: switching to another job's item flushes them, or
   // a finished job whose last tasks ran here would wait on this item.
   if (credits_ > 0 && job->job != credit_job_) flush_credits();
@@ -272,13 +296,24 @@ void Worker::execute(Job* job) {
     counters_.tasks_run++;
     f = acquire_fiber(job);
   } else {
-    f = job->fiber;
-    counters_.resumes++;
-    if (f->user_data != this) counters_.migrations++;
+    f = claim_resume(job);
   }
   // The item belongs to its task's block: it is not freed here, and once
   // the fiber finishes it may already be gone.
-  run_fiber(f);
+  return f;
+}
+
+Fiber* Worker::claim_resume(Job* item) {
+  Fiber* f = item->fiber;
+  counters_.resumes++;
+  if (f->user_data != this) counters_.migrations++;
+  return f;
+}
+
+void Worker::enter(Fiber* f) {
+  f->user_data = this;
+  tl_fiber = f;
+  counters_.fiber_resumes++;
 }
 
 Fiber* Worker::take_handoff() {
@@ -287,53 +322,77 @@ Fiber* Worker::take_handoff() {
   return next;
 }
 
-void Worker::run_fiber(Fiber* f) {
+Job* Worker::run_fiber(Fiber* f) {
   while (f) {
-    f->user_data = this;
-    tl_fiber = f;
-    counters_.fiber_resumes++;
+    enter(f);
     f->resume(&sched_ctx_);
+    // Back on the scheduler context: `f`, or a fiber the chain switched
+    // into directly, finished or suspended. `this` is still valid — the
+    // scheduler context never migrates. A finish or a future-first spawn
+    // reaches it only when no direct switch was possible; a park or a
+    // touch-first yield always does, and a yield or a lost park race leaves
+    // the fiber to run next as the handoff.
     tl_fiber = nullptr;
-    // Back on the scheduler context. NOTE: `this` is still valid — the
-    // scheduler context never migrates.
-    Fiber* next = nullptr;
-    if (f->finished()) {
-      next = take_handoff();
-      recycle(std::unique_ptr<Fiber>(f));
-      // The finish touches no shared word: it becomes a credit that this
-      // worker's next spawn of the job spends, or that flush_credits
-      // subtracts when work leaves the worker (see JobState::outstanding).
-      // The stack is back on a list before the job can be seen done.
-      WSF_DCHECK(credits_ == 0 || credit_job_ == current_job_,
-                 "execute() left another job's credits unflushed");
-      credit_job_ = current_job_;
-      ++credits_;
-    } else {
-      // The fiber suspended: a future-first spawn, a touch-first yield
-      // (switch_to without a park state), or a park (possibly a yield-park
-      // combined with a handoff — see switch_to).
-      if (pending_continuation_) {
-        // Now that the fiber is truly suspended, make its continuation
-        // stealable — its task's own work item, reused as its Resume item —
-        // then run the fresh child (future-first spawn) or the handed-off
-        // waiter (touch-first yield).
-        Fiber* cont = std::exchange(pending_continuation_, nullptr);
-        deque_.push_bottom(static_cast<Job*>(cont->user_item));
-        counters_.continuations_pushed++;
-        if (pending_child_) {
-          counters_.tasks_run++;
-          counters_.inline_children++;
-          next = acquire_fiber(std::exchange(pending_child_, nullptr));
-        } else {
-          next = take_handoff();
-        }
+    if (!after_switch()) publish_pending_park();
+    if (Job* item = std::exchange(passed_item_, nullptr)) return item;
+    f = take_handoff();
+  }
+  return nullptr;
+}
+
+void Worker::run_task(Job* task) {
+  // A fresh fiber's entry is a landing site: after a future-first spawn it
+  // pushes the parent's continuation.
+  current_worker()->after_switch();
+  task->run(task);  // may free the task block: only the worker is used below
+  current_worker()->finish_fiber();
+}
+
+bool Worker::after_switch() {
+  if (Fiber* done = std::exchange(finished_fiber_, nullptr)) {
+    recycle(std::unique_ptr<Fiber>(done));
+    // The finish touches no shared word: it becomes a credit that this
+    // worker's next spawn of the job spends, or that flush_credits
+    // subtracts when work leaves the worker (see JobState::outstanding).
+    // The stack is back in this worker's spare slot or list before the job
+    // can be seen done.
+    WSF_DCHECK(credits_ == 0 || credit_job_ == current_job_,
+               "execute() left another job's credits unflushed");
+    credit_job_ = current_job_;
+    ++credits_;
+    return true;
+  }
+  if (Fiber* cont = std::exchange(pending_continuation_, nullptr)) {
+    // Now that the fiber is truly suspended, make its continuation
+    // stealable — its task's own work item, reused as its Resume item.
+    deque_.push_bottom(static_cast<Job*>(cont->user_item));
+    counters_.continuations_pushed++;
+    return true;
+  }
+  return false;
+}
+
+void Worker::finish_fiber() {
+  Fiber* self = tl_fiber;
+  finished_fiber_ = self;
+  // The scheduler context's order of precedence: the handoff, then the
+  // bottom of this worker's own deque.
+  Fiber* next = take_handoff();
+  if (next == nullptr) {
+    if (Job* item = pop_local()) {
+      // A fresh task, or another job's item, needs the scheduler context
+      // (stack acquisition, the job switch); it takes the item as popped.
+      if (item->fiber != nullptr && item->job == current_job_) {
+        next = claim_resume(item);
       } else {
-        publish_pending_park();
-        next = take_handoff();
+        passed_item_ = item;
       }
     }
-    f = next;
   }
+  if (next == nullptr) return;  // the trampoline returns to the scheduler
+  counters_.direct_switches++;
+  enter(next);
+  self->exit_into(*next);
 }
 
 void Worker::publish_pending_park() {
@@ -372,11 +431,18 @@ void Worker::flush_credits() {
 void Worker::spawn_future_first(Fiber& parent, Job* child) {
   child->job = current_job_;
   count_spawn();
-  pending_child_ = child;
+  counters_.tasks_run++;
+  counters_.inline_children++;
+  Fiber* f = acquire_fiber(child);
+  // The child's entry pushes the parent's Resume item, once this switch
+  // has saved the parent's registers.
   pending_continuation_ = &parent;
-  parent.suspend();
-  // Resumed (possibly on another worker after a steal) — nothing to do;
-  // the caller must re-read current_worker().
+  counters_.direct_switches++;
+  enter(f);
+  parent.switch_into(*f);
+  // Landed, possibly on another worker after a steal: `this` may be stale,
+  // and so must the caller re-read current_worker().
+  current_worker()->after_switch();
 }
 
 void Worker::spawn_parent_first(Job* child) {
@@ -389,6 +455,8 @@ void Worker::park_on(FutureStateBase& state, Fiber& f) {
   pending_park_state_ = &state;
   pending_park_fiber_ = &f;
   f.suspend();
+  // Woken, possibly on another worker or straight from its producer.
+  current_worker()->after_switch();
 }
 
 void Worker::set_handoff(Fiber* f) {
@@ -411,8 +479,9 @@ void Worker::switch_to(Fiber& current, Fiber* next,
   }
   set_handoff(next);
   current.suspend();
-  // Resumed (possibly on another worker) — the caller must re-read
-  // current_worker().
+  // Resumed, possibly on another worker or straight from a finishing fiber:
+  // the caller must re-read current_worker().
+  current_worker()->after_switch();
 }
 
 }  // namespace detail
@@ -727,7 +796,7 @@ void Scheduler::drain() {
 
 void Scheduler::prewarm(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i)
-    workers_[i % workers_.size()]->recycle(
+    workers_[i % workers_.size()]->put_stack(
         std::make_unique<Fiber>([] {}, opts_.stack_bytes));
 }
 

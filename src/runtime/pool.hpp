@@ -2,9 +2,15 @@
 //
 // This is the runtime counterpart of the paper's model:
 //   * one Chase–Lev deque per worker (parsimonious work stealing, §3);
-//   * core::ForkPolicy::FutureFirst — spawn suspends the parent, pushes its
-//     continuation onto the deque bottom, and runs the future inline
-//     (work-first; the policy Theorem 8 recommends);
+//   * core::ForkPolicy::FutureFirst — spawn switches from the parent's fiber
+//     straight into the child's, and the child's first act is to push the
+//     parent's continuation onto the deque bottom; the future thus runs
+//     inline (work-first; the policy Theorem 8 recommends). A finishing
+//     fiber switches straight into its parked consumer, or into the Resume
+//     item it pops from its own deque when that belongs to the same job, so
+//     a spawn nobody steals never visits the worker's scheduler context;
+//     anything else (a steal took the parent, a fresh task, another job's
+//     item) goes back through it;
 //   * core::ForkPolicy::ParentFirst — spawn pushes the future task and the
 //     parent continues (help-first; the policy Theorem 10 warns about);
 //   * an unresolved touch parks the consumer fiber; the producer resumes it
@@ -311,8 +317,9 @@ class Worker {
 
   void main_loop();
 
-  /// Called by spawn (future-first): defer-push the parent continuation and
-  /// hand the fresh child job to the scheduler, then suspend the parent.
+  /// Called by spawn (future-first): switches from `parent` straight into a
+  /// fiber for the fresh `child`, whose entry pushes the parent's
+  /// continuation (see after_switch).
   void spawn_future_first(Fiber& parent, Job* child);
   /// Called by spawn (parent-first): push the fresh child job.
   void spawn_parent_first(Job* child);
@@ -342,6 +349,8 @@ class Worker {
   friend struct WorkerAudit;  // tests/test_false_sharing.cpp
 
   Job* find_work();
+  /// Pops the bottom of this worker's own deque, counting a local pop.
+  Job* pop_local();
   /// Chooses a steal victim under victim_policy_ (never this worker).
   std::uint32_t pick_victim(std::uint32_t n);
   /// One steal operation against `victim` under steal_policy_: steal-one
@@ -350,8 +359,39 @@ class Worker {
   /// (their acquisition is counted when they are popped, like
   /// take_injected's admission batching).
   Job* steal_from(std::uint32_t victim);
+  /// Runs `job`, then every item a finishing fiber passes back (see
+  /// run_fiber), on the scheduler context.
   void execute(Job* job);
-  void run_fiber(Fiber* f);
+  /// Takes on `job` as this worker's next item from the scheduler context:
+  /// flushes another job's credits, counts the item, and returns the fiber
+  /// to switch into (a fresh task's new fiber, or a Resume item's own).
+  Fiber* begin_item(Job* job);
+  /// Switches into `f` from the scheduler context and serves whatever comes
+  /// back: parks, yields and finishes, and the handoffs they leave. Returns
+  /// the item a finishing fiber popped but could not switch into, or nullptr
+  /// when the chain ran out.
+  Job* run_fiber(Fiber* f);
+  /// The body of every task fiber: lands, runs the task, then picks the
+  /// fiber to exit into (finish_fiber).
+  static void run_task(Job* task);
+  /// The post-switch step, run wherever a switch lands (the scheduler
+  /// context, a fresh fiber's entry, and the returns from
+  /// spawn_future_first, park_on and switch_to) on the worker it landed on:
+  /// recycles a fiber that finished into it, turning the finish into a
+  /// credit, or pushes the Resume item of the fiber that switched away.
+  /// Returns false when neither was pending (a park).
+  bool after_switch();
+  /// Called by a finishing task fiber, after its body: chooses its
+  /// successor exactly as the scheduler context would — its handoff, else
+  /// the bottom of its own deque — and exits straight into it when that is
+  /// a suspended fiber of the same job. Otherwise the fiber returns to the
+  /// scheduler context, passing along any item it popped.
+  void finish_fiber();
+  /// Per-item accounting of a Resume item this worker acquired; returns its
+  /// fiber.
+  Fiber* claim_resume(Job* item);
+  /// Per-activation accounting, just before this worker switches into `f`.
+  void enter(Fiber* f);
   /// Consumes the pending handoff (counting it), nullptr when none is set.
   Fiber* take_handoff();
   /// Counts a spawn of current_job_: spends a credit when this worker holds
@@ -363,13 +403,16 @@ class Worker {
   /// work item belongs to another job.
   void flush_credits();
   /// A fiber that runs the fresh `task`, whose item becomes the fiber's
-  /// Resume item. The stack comes from this worker's free list, else is
-  /// borrowed from the first peer in ring order whose list is nonempty; a
-  /// new stack is created only when every list was empty.
+  /// Resume item. The stack comes from this worker's spare slot, else its
+  /// free list, else is borrowed from the first peer in ring order whose
+  /// list is nonempty; a new stack is created only when all were empty.
   Fiber* acquire_fiber(Job* task) WSF_EXCLUDES(stacks_mutex_);
+  /// Keeps the stack of a fiber that finished on this worker: in the spare
+  /// slot when it is empty, else on the free list. Owner only.
+  void recycle(std::unique_ptr<Fiber> f) WSF_EXCLUDES(stacks_mutex_);
   /// Pushes a finished (or prewarmed, never-started) fiber onto this
   /// worker's free list.
-  void recycle(std::unique_ptr<Fiber> f) WSF_EXCLUDES(stacks_mutex_);
+  void put_stack(std::unique_ptr<Fiber> f) WSF_EXCLUDES(stacks_mutex_);
   /// Pops a stack off this worker's free list; nullptr when it is empty.
   /// Called by the owner and by peers whose own list is empty.
   std::unique_ptr<Fiber> take_stack() WSF_EXCLUDES(stacks_mutex_);
@@ -411,6 +454,19 @@ class Worker {
   std::uint32_t backoff_us_ = 0;
   /// Scratch buffer for ChaseLevDeque::steal_batch claims.
   std::vector<Job*> steal_buf_;
+  /// One spare fiber stack, kept without the lock: tried before the free
+  /// list by acquire_fiber and filled first by recycle. It cannot strand a
+  /// stack:
+  ///   * a stack is always in exactly one place: a live fiber, a worker's
+  ///     free list, or a spare slot;
+  ///   * a slot holds a stack only while its owner is busy, because
+  ///     find_work spills it to the owner's list before the worker takes
+  ///     from the inbox, steals or parks;
+  ///   * so when a worker creates a stack (its slot and every list empty),
+  ///     every other stack is live or about to serve its busy owner's next
+  ///     spawn — at most one stack per worker.
+  /// A spare-slot hit counts as stacks_reused.
+  std::unique_ptr<Fiber> spare_stack_;
 
   // Finish credits (see JobState::outstanding): tasks of credit_job_ that
   // this worker finished and has not yet subtracted from its count. While
@@ -419,11 +475,15 @@ class Worker {
   JobState* credit_job_ = nullptr;
   std::uint64_t credits_ = 0;
 
-  // Scheduler-context scratch used by the suspend protocols.
+  // Scratch of the switch protocols, consumed where the switch lands.
   Fiber::Context sched_ctx_{};
   Fiber* handoff_ = nullptr;
-  Job* pending_child_ = nullptr;
+  /// A fiber that switched away and whose Resume item after_switch pushes.
   Fiber* pending_continuation_ = nullptr;
+  /// A fiber that finished and whose stack after_switch recycles.
+  Fiber* finished_fiber_ = nullptr;
+  /// An item a finishing fiber popped and passes to the scheduler context.
+  Job* passed_item_ = nullptr;
   FutureStateBase* pending_park_state_ = nullptr;
   Fiber* pending_park_fiber_ = nullptr;
   /// The job whose work item execute() is currently running. Every edge a

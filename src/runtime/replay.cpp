@@ -209,13 +209,4 @@ ReplayResult GraphReplayer::run(Scheduler& sched, const ReplayOptions& opts) {
   return collect();
 }
 
-ReplayResult replay_graph(Scheduler& sched, const core::Graph& g,
-                          const ReplayOptions& opts,
-                          std::vector<std::vector<core::NodeId>>* orders) {
-  GraphReplayer replayer(g);
-  ReplayResult result = replayer.run(sched, opts);
-  if (orders) *orders = replayer.worker_orders();
-  return result;
-}
-
 }  // namespace wsf::runtime

@@ -134,9 +134,4 @@ class GraphReplayer {
   JobHandle<void> handle_;
 };
 
-/// Convenience one-shot replay (constructs a throwaway arena).
-ReplayResult replay_graph(Scheduler& sched, const core::Graph& g,
-                          const ReplayOptions& opts,
-                          std::vector<std::vector<core::NodeId>>* orders);
-
 }  // namespace wsf::runtime

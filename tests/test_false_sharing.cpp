@@ -2,14 +2,14 @@
 //
 // The compile-time half verifies the memory layout the runtime relies on:
 // the Chase–Lev deque's thief-shared indices, the per-worker counter
-// blocks, the peer-locked fiber-stack list, and the Worker object itself
-// keep cross-thread traffic on its own cache lines (offsets asserted below
-// and in runtime/chase_lev.hpp / runtime/counters.hpp). The run-time half
-// is a stress test that hammers adjacent workers' counters while a
-// monitoring thread snapshots them — under ThreadSanitizer (ctest label
-// `runtime`, CI tsan job) this proves the single-writer relaxed-counter
-// discipline is race-free even when neighbouring workers update as fast as
-// they can.
+// blocks, the peer-locked fiber-stack list, the Worker object itself and
+// the Fiber objects keep cross-thread traffic on their own cache lines
+// (offsets asserted below and in runtime/chase_lev.hpp /
+// runtime/counters.hpp). The run-time half is a stress test that hammers
+// adjacent workers' counters while a monitoring thread snapshots them —
+// under ThreadSanitizer (ctest label `runtime`, CI tsan job) this proves
+// the single-writer relaxed-counter discipline is race-free even when
+// neighbouring workers update as fast as they can.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,6 +84,10 @@ static_assert(WorkerAudit::owner_only / 64 >
 // the audit is complete in one file; primary asserts in chase_lev.hpp).
 static_assert(ChaseLevAudit::top / 64 != ChaseLevAudit::bottom / 64);
 static_assert(ChaseLevAudit::array / 64 != ChaseLevAudit::bottom / 64);
+// Every switch writes the fibers it leaves and enters, and pooled fibers
+// move between workers: each Fiber object owns whole lines.
+static_assert(alignof(Fiber) == 64 && sizeof(Fiber) % 64 == 0,
+              "Fiber objects must not share cache lines");
 
 }  // namespace detail
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/pool.hpp"
@@ -313,32 +315,31 @@ TEST(Runtime, ParentFirstParksOnSingleWorker) {
   EXPECT_EQ(sched.counters().total().direct_handoffs, 32u);
 }
 
+// The runtime's WorkerCounters identities (see counters.hpp): the
+// work-acquisition and park/wake counters must reconcile exactly with the
+// tasks that ran, at quiescence.
+void expect_reconciled(const WorkerCounters& t, std::uint64_t runs) {
+  // Every closure that ran was either spawned or injected by run().
+  EXPECT_EQ(t.tasks_run, t.spawns + runs);
+  EXPECT_EQ(t.inbox_takes, runs);
+  // Every deque/inbox-sourced job was obtained exactly one way: pop of
+  // the own deque bottom, inbox take, or steal — and those jobs are
+  // exactly the non-inline fresh tasks plus the executed Resume jobs.
+  EXPECT_EQ(t.local_pops + t.inbox_takes + t.steals,
+            (t.tasks_run - t.inline_children) + t.resumes);
+  // Every Resume job that was created was executed.
+  EXPECT_EQ(t.resumes, t.continuations_pushed + t.wakes_pushed);
+  // Every park resolves through exactly one handoff or one deque wake.
+  EXPECT_EQ(t.parked_touches, t.handoff_runs + t.wakes_pushed);
+  // Every fiber activation has one source: a fresh task, a Resume job,
+  // or a handoff.
+  EXPECT_EQ(t.fiber_resumes, t.tasks_run + t.resumes + t.handoff_runs);
+}
+
 // Mirror of the PR 2 simulator Accounting suite for the runtime's
-// WorkerCounters: the work-acquisition and park/wake counters must
-// reconcile exactly with the tasks that ran, at quiescence, under both
-// policies and various worker counts (see counters.hpp for the
-// identities).
-class Accounting : public ::testing::TestWithParam<ForkPolicy> {
- protected:
-  static void expect_reconciled(const WorkerCounters& t,
-                                std::uint64_t runs) {
-    // Every closure that ran was either spawned or injected by run().
-    EXPECT_EQ(t.tasks_run, t.spawns + runs);
-    EXPECT_EQ(t.inbox_takes, runs);
-    // Every deque/inbox-sourced job was obtained exactly one way: pop of
-    // the own deque bottom, inbox take, or steal — and those jobs are
-    // exactly the non-inline fresh tasks plus the executed Resume jobs.
-    EXPECT_EQ(t.local_pops + t.inbox_takes + t.steals,
-              (t.tasks_run - t.inline_children) + t.resumes);
-    // Every Resume job that was created was executed.
-    EXPECT_EQ(t.resumes, t.continuations_pushed + t.wakes_pushed);
-    // Every park resolves through exactly one handoff or one deque wake.
-    EXPECT_EQ(t.parked_touches, t.handoff_runs + t.wakes_pushed);
-    // Every fiber activation has one source: a fresh task, a Resume job,
-    // or a handoff.
-    EXPECT_EQ(t.fiber_resumes, t.tasks_run + t.resumes + t.handoff_runs);
-  }
-};
+// WorkerCounters: the identities hold under both policies and various
+// worker counts.
+class Accounting : public ::testing::TestWithParam<ForkPolicy> {};
 
 TEST_P(Accounting, ReconcilesOnFib) {
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
@@ -420,6 +421,27 @@ TEST_P(Accounting, SharedCountMovesOnlyWhenWorkLeavesAWorker) {
   expect_reconciled(t, 1);
 }
 
+TEST_P(Accounting, DirectSwitchesOnOneWorker) {
+  // With nothing stolen, a future-first spawn switches into its child and
+  // the finishing child straight back into its parent's Resume item. Under
+  // parent-first every touch parks (the child still sits in the deque), and
+  // each finishing child switches straight into its parked parent.
+  RuntimeOptions opts;
+  opts.workers = 1;
+  opts.policy = GetParam();
+  Scheduler sched(opts);
+  sched.reset_counters();
+  EXPECT_EQ(sched.run([] { return fib_par(20); }), 6765u);
+  const auto t = sched.counters().total();
+  if (GetParam() == ForkPolicy::FutureFirst) {
+    EXPECT_EQ(t.direct_switches, 2 * t.spawns);
+  } else {
+    EXPECT_EQ(t.direct_switches, t.spawns);
+    EXPECT_EQ(t.handoff_runs, t.spawns);
+  }
+  expect_reconciled(t, 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, Accounting,
                          ::testing::Values(ForkPolicy::FutureFirst,
                                            ForkPolicy::ParentFirst),
@@ -428,6 +450,69 @@ INSTANTIATE_TEST_SUITE_P(Policies, Accounting,
                                       ? "FutureFirst"
                                       : "ParentFirst";
                          });
+
+TEST(Runtime, ParentStolenWhileChildRuns) {
+  // The child holds its worker until the parent's continuation has run on
+  // the other worker, so it finishes with its own deque empty: it must
+  // return through the scheduler context instead of switching into a
+  // parent it no longer has. The parent polls its future instead of
+  // touching it, so the child has no handoff either.
+  RuntimeOptions opts;
+  opts.workers = 2;
+  opts.policy = ForkPolicy::FutureFirst;
+  Scheduler sched(opts);
+  sched.reset_counters();
+  std::atomic<bool> parent_resumed{false};
+  const auto deadline = [] {
+    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  };
+  const int result = sched.run([&] {
+    auto child = spawn([&] {
+      const auto until = deadline();
+      while (!parent_resumed.load() &&
+             std::chrono::steady_clock::now() < until)
+        std::this_thread::yield();
+      return 41;
+    });
+    parent_resumed.store(true);
+    const auto until = deadline();
+    while (!child.ready() && std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
+    return child.touch() + 1;
+  });
+  EXPECT_EQ(result, 42);
+  const auto t = sched.counters().total();
+  EXPECT_GE(t.migrations, 1u);
+  EXPECT_EQ(t.steals, 1u);
+  // Only the spawn's switch into the child was direct.
+  EXPECT_EQ(t.direct_switches, 1u);
+  expect_reconciled(t, 1);
+}
+
+TEST(Runtime, EveryVictimAndStealPolicyOnThreeWorkers) {
+  // Steals happen under every victim policy (Nearest's neighbour scan
+  // included), and steal-half's extra Resume items are later popped by
+  // finishing fibers and switched into directly.
+  for (const core::VictimPolicy victim :
+       {core::VictimPolicy::Uniform, core::VictimPolicy::LastVictim,
+        core::VictimPolicy::Nearest}) {
+    for (const core::StealPolicy steal :
+         {core::StealPolicy::One, core::StealPolicy::Half}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "victim=" << static_cast<int>(victim)
+                   << " steal=" << static_cast<int>(steal));
+      RuntimeOptions opts;
+      opts.workers = 3;
+      opts.policy = ForkPolicy::FutureFirst;
+      opts.steal = steal;
+      opts.victim = victim;
+      Scheduler sched(opts);
+      sched.reset_counters();
+      EXPECT_EQ(sched.run([] { return fib_par(20); }), 6765u);
+      expect_reconciled(sched.counters().total(), 1);
+    }
+  }
+}
 
 TEST(Runtime, StressManySmallTasks) {
   RuntimeOptions opts;
