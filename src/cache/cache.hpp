@@ -33,9 +33,6 @@ class CacheModel {
   /// Number of lines (C in the paper's notation).
   virtual std::size_t capacity() const = 0;
 
-  /// Human-readable policy name ("lru", "fifo", ...).
-  virtual std::string name() const = 0;
-
   /// True if the block is currently resident (no counter update, no
   /// replacement side effects). Used by tests.
   virtual bool contains(core::BlockId block) const = 0;

@@ -1,7 +1,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -24,7 +23,6 @@ class DirectMappedCache final : public CacheModel {
   }
 
   std::size_t capacity() const override { return lines_; }
-  std::string name() const override { return "direct"; }
 
   bool contains(core::BlockId block) const override {
     return slot_[index(block)] == block;

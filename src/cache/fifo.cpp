@@ -1,7 +1,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "cache/block_index.hpp"
 #include "cache/cache.hpp"
@@ -27,7 +26,6 @@ class FifoCache final : public CacheModel {
   }
 
   std::size_t capacity() const override { return index_.lines(); }
-  std::string name() const override { return "fifo"; }
 
   bool contains(core::BlockId block) const override {
     return index_.find(block) != BlockIndex::kNoSlot;

@@ -1,7 +1,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/block_index.hpp"
@@ -29,7 +28,6 @@ class LruCache final : public CacheModel {
   }
 
   std::size_t capacity() const override { return index_.lines(); }
-  std::string name() const override { return "lru"; }
 
   bool contains(core::BlockId block) const override {
     return index_.find(block) != BlockIndex::kNoSlot;

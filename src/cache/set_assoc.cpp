@@ -1,7 +1,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -33,9 +32,6 @@ class SetAssociativeCache final : public CacheModel {
   }
 
   std::size_t capacity() const override { return lines_; }
-  std::string name() const override {
-    return "assoc" + std::to_string(ways_);
-  }
 
   bool contains(core::BlockId block) const override {
     const std::size_t base = set_of(block) * ways_;

@@ -20,11 +20,6 @@ GraphBuilder::GraphBuilder() {
   tails_.push_back(root);
 }
 
-NodeId GraphBuilder::tail(ThreadId t) const {
-  WSF_REQUIRE(t < tails_.size(), "unknown thread " << t);
-  return tails_[t];
-}
-
 void GraphBuilder::require_open(ThreadId t) const {
   WSF_REQUIRE(!finished_, "builder already finished");
   WSF_REQUIRE(t < tails_.size(), "unknown thread " << t);

@@ -33,9 +33,6 @@ class GraphBuilder {
   /// The main thread; its first node (the root) exists from construction.
   ThreadId main_thread() const { return 0; }
 
-  /// The current last node of a thread (its cursor).
-  NodeId tail(ThreadId t) const;
-
   /// Appends a plain node to thread t via a continuation edge and returns it.
   /// `block` is the memory block the node accesses (kNoBlock for none);
   /// `role` optionally tags the node for scripted schedules.

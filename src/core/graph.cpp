@@ -11,18 +11,6 @@
 
 namespace wsf::core {
 
-const char* to_string(EdgeKind k) {
-  switch (k) {
-    case EdgeKind::Continuation:
-      return "continuation";
-    case EdgeKind::Future:
-      return "future";
-    case EdgeKind::Touch:
-      return "touch";
-  }
-  return "?";
-}
-
 void Graph::set_role(NodeId id, const std::string& role) {
   WSF_REQUIRE(id < num_nodes(), "role on unknown node " << id);
   WSF_REQUIRE(!role_to_node_.count(role), "duplicate role '" << role << "'");

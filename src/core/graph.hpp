@@ -41,8 +41,6 @@ enum class EdgeKind : std::uint8_t {
   Touch = 2,
 };
 
-const char* to_string(EdgeKind k);
-
 /// One endpoint of a directed edge, with the edge's kind.
 struct HalfEdge {
   NodeId node = kInvalidNode;

@@ -29,7 +29,6 @@ namespace {
 
 class SimBackend final : public Backend {
  public:
-  BackendKind kind() const override { return BackendKind::Sim; }
   SweepCell run_config(const core::Graph& g, const SweepConfig& cfg,
                        std::uint64_t seed_base,
                        std::uint64_t seed_count) override {
@@ -39,8 +38,6 @@ class SimBackend final : public Backend {
 
 class RuntimeBackend final : public Backend {
  public:
-  BackendKind kind() const override { return BackendKind::Runtime; }
-
   // seed_base is unused: the runtime is not deterministic per seed (real
   // thread interleavings), and the shared scheduler's victim-selection
   // seed is fixed at acquisition.

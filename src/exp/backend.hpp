@@ -49,7 +49,6 @@ BackendKind backend_from_string(const std::string& s);
 class Backend {
  public:
   virtual ~Backend() = default;
-  virtual BackendKind kind() const = 0;
   virtual SweepCell run_config(const core::Graph& g, const SweepConfig& cfg,
                                std::uint64_t seed_base,
                                std::uint64_t seed_count) = 0;

@@ -123,10 +123,10 @@ class ChaseLevDeque {
     return value;
   }
 
-  /// Thief: steal up to `max_n` items from the top, bounded by half the
-  /// victim's observed size (steal-half). Claimed items are appended to
-  /// `out` oldest-first; returns the number claimed (0 on empty or a lost
-  /// first race).
+  /// Thief: steal up to `max_n` items from the top (the caller sizes the
+  /// claim; see core::steal_claim). Claimed items are appended to `out`
+  /// oldest-first; returns the number claimed (0 on empty or a lost first
+  /// race).
   ///
   /// Why not one batch CAS (top += k)? With an owner that pops at the
   /// bottom, a multi-item claim cannot be validated: owner pops of the
@@ -141,20 +141,8 @@ class ChaseLevDeque {
   /// selection and the thief's re-dispatch, not the claim itself — and
   /// stops at the first lost race or empty observation.
   std::size_t steal_batch(std::vector<T>& out, std::size_t max_n) {
-    // relaxed ×2 (both loads): sizing probe only — `want` is an advisory
-    // bound, and no payload is read under these indices; every actual
-    // claim below runs the full fence-ordered steal_top protocol.
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    const std::int64_t b =
-        bottom_.load(std::memory_order_relaxed);  // see probe comment above
-    if (t >= b) return 0;
-    // Half of the observed size, rounded up so a 1-element deque still
-    // yields one item.
-    const auto avail = static_cast<std::size_t>(b - t);
-    std::size_t want = (avail + 1) / 2;
-    if (want > max_n) want = max_n;
     std::size_t got = 0;
-    while (got < want) {
+    while (got < max_n) {
       T value = steal_top();
       if (value == nullptr) break;  // emptied, or lost a race — stop here
       out.push_back(value);
@@ -163,9 +151,10 @@ class ChaseLevDeque {
     return got;
   }
 
-  /// Racy size estimate (monitoring only).
+  /// Racy size estimate: thieves size their claims and probe victims with
+  /// it, and claim only through steal_top.
   std::size_t size_estimate() const {
-    // relaxed ×2: a monitoring probe; staleness is acceptable by contract
+    // relaxed ×2: an advisory probe; staleness is acceptable by contract
     // and no payload is read based on these indices.
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_relaxed);  // ditto

@@ -49,7 +49,8 @@ Worker::Worker(Scheduler& sched, std::uint32_t id,
       stack_bytes_(opts.stack_bytes),
       steal_policy_(opts.steal),
       victim_policy_(opts.victim),
-      rng_(support::derive_seed(opts.seed, id)) {}
+      rng_(support::derive_seed(opts.seed, id)),
+      last_victim_(id) {}
 
 Worker::~Worker() = default;
 
@@ -129,17 +130,24 @@ Job* Worker::find_work() {
   // replays burn no steal_attempts and no RNG draws.
   const std::uint32_t n = sched_.num_workers();
   if (n <= 1) return nullptr;
-  counters_.steal_attempts++;
-  const std::uint32_t victim = pick_victim(n);
-  Job* j = steal_from(victim);
-  if (j != nullptr) {
-    counters_.steals++;
-    last_victim_ = victim;
-    failed_steal_streak_ = 0;
-    backoff_us_ = 0;
-    return j;
+  // Without nonempty_only the uniform draw may pick an empty deque, as in
+  // ABP. A declined round (Nearest seeing every deque empty) makes no
+  // attempt but counts toward the backoff below.
+  const std::uint32_t victim = core::pick_victim(
+      victim_policy_, id_, n, last_victim_, /*nonempty_only=*/false, rng_,
+      [this](std::uint32_t v) {
+        return sched_.workers_[v]->deque_.empty_estimate();
+      });
+  if (victim != id_) {
+    counters_.steal_attempts++;
+    if (Job* j = steal_from(victim)) {
+      counters_.steals++;
+      last_victim_ = victim;
+      failed_steal_streak_ = 0;
+      backoff_us_ = 0;
+      return j;
+    }
   }
-  last_victim_ = kNoVictim;
   // Capped exponential backoff once a few consecutive rounds fail: an idle
   // thief hammering top_ CASes generates coherence traffic on every victim
   // line it probes; sleeping before the next probe costs only latency it
@@ -160,42 +168,14 @@ Job* Worker::find_work() {
   return nullptr;
 }
 
-std::uint32_t Worker::pick_victim(std::uint32_t n) {
-  switch (victim_policy_) {
-    case core::VictimPolicy::LastVictim:
-      // Affinity: retry the worker the last steal succeeded from — it
-      // likely still has work, and re-stealing from one victim keeps the
-      // thief's working set on fewer remote lines. Falls back to uniform
-      // when there is no remembered victim.
-      if (last_victim_ != kNoVictim && last_victim_ < n &&
-          last_victim_ != id_)
-        return last_victim_;
-      break;
-    case core::VictimPolicy::Nearest: {
-      // Deterministic neighbor scan by index distance: a stand-in for
-      // topology awareness (adjacent workers as cache/NUMA neighbors).
-      for (std::uint32_t d = 1; d < n; ++d) {
-        const std::uint32_t v = (id_ + d) % n;
-        if (!sched_.workers_[v]->deque_.empty_estimate()) return v;
-      }
-      return (id_ + 1) % n;  // all look empty: probe the next ring slot
-    }
-    case core::VictimPolicy::Uniform:
-      break;
-  }
-  auto victim = static_cast<std::uint32_t>(rng_.below(n - 1));
-  if (victim >= id_) ++victim;
-  return victim;
-}
-
 Job* Worker::steal_from(std::uint32_t victim) {
   ChaseLevDeque<Job*>& vd = sched_.workers_[victim]->deque_;
   if (steal_policy_ == core::StealPolicy::One) return vd.steal_top();
-  // Steal-half: claim up to half the victim's items (bounded so one batch
-  // cannot monopolize a huge deque), run the oldest, and keep the rest.
-  constexpr std::size_t kMaxStealBatch = 16;
+  // Steal-half: claim what core::steal_claim allows for the victim's
+  // estimated size, run the oldest, and keep the rest.
   steal_buf_.clear();
-  const std::size_t got = vd.steal_batch(steal_buf_, kMaxStealBatch);
+  const std::size_t got = vd.steal_batch(
+      steal_buf_, core::steal_claim(steal_policy_, vd.size_estimate()));
   if (got == 0) return nullptr;
   // steal_buf_ is oldest-first; index 0 is what steal-one would have
   // taken. The extras become ordinary deque work on *this* worker —

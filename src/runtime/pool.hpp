@@ -89,11 +89,13 @@ struct RuntimeOptions {
   std::size_t stack_bytes = 256 * 1024;
   /// Seed for victim selection.
   std::uint64_t seed = 0x5eed;
-  /// How much a thief claims per successful steal (one task, or up to half
-  /// the victim's deque via ChaseLevDeque::steal_batch).
+  /// How much a thief claims per successful steal: one task, or half the
+  /// victim's estimated deque size rounded up, at most 16
+  /// (core::steal_claim, the simulator's rule too).
   core::StealPolicy steal = core::StealPolicy::One;
-  /// How a thief picks its victim (uniform random, last-victim affinity,
-  /// or nearest-neighbor scan).
+  /// How a thief picks its victim: uniform random, last-victim affinity or
+  /// nearest-neighbor scan (core::pick_victim, the simulator's chooser too,
+  /// here on racy emptiness estimates).
   core::VictimPolicy victim = core::VictimPolicy::Uniform;
   /// Admission-inbox capacity in jobs; 0 = unbounded (the pre-backpressure
   /// behavior). With a bound, submission under a full inbox follows the
@@ -351,13 +353,11 @@ class Worker {
   Job* find_work();
   /// Pops the bottom of this worker's own deque, counting a local pop.
   Job* pop_local();
-  /// Chooses a steal victim under victim_policy_ (never this worker).
-  std::uint32_t pick_victim(std::uint32_t n);
   /// One steal operation against `victim` under steal_policy_: steal-one
-  /// takes the victim's top; steal-half claims up to half the victim's
-  /// items, runs the oldest, and pushes the rest onto this worker's deque
-  /// (their acquisition is counted when they are popped, like
-  /// take_injected's admission batching).
+  /// takes the victim's top; steal-half claims core::steal_claim's share of
+  /// the victim's items, runs the oldest, and pushes the rest onto this
+  /// worker's deque (their acquisition is counted when they are popped,
+  /// like take_injected's admission batching).
   Job* steal_from(std::uint32_t victim);
   /// Runs `job`, then every item a finishing fiber passes back (see
   /// run_fiber), on the scheduler context.
@@ -443,12 +443,12 @@ class Worker {
       WSF_GUARDED_BY(stacks_mutex_);
 
   // ---- owner-only steal-loop state ----
-  static constexpr std::uint32_t kNoVictim = ~std::uint32_t{0};
-  /// Last worker a steal succeeded from (VictimPolicy::LastVictim). Starts
-  /// a new line so the owner's scratch never shares one with the stack list.
-  alignas(64) std::uint32_t last_victim_ = kNoVictim;
-  /// Consecutive find_work rounds that ended in a failed steal; drives the
-  /// capped exponential backoff and resets on any acquired work.
+  /// Last worker a steal succeeded from, this worker's own id while there
+  /// is none (core::pick_victim's LastVictim). Starts a new line so the
+  /// owner's scratch never shares one with the stack list.
+  alignas(64) std::uint32_t last_victim_;
+  /// Consecutive find_work rounds that ended in a failed or declined steal;
+  /// drives the capped exponential backoff and resets on any acquired work.
   std::uint32_t failed_steal_streak_ = 0;
   /// Current backoff sleep in microseconds (capped exponential).
   std::uint32_t backoff_us_ = 0;

@@ -10,8 +10,6 @@
 
 namespace wsf::sched {
 
-void ScheduleController::on_start(const Simulator&) {}
-bool ScheduleController::awake(const Simulator&, core::ProcId) { return true; }
 void ScheduleController::on_execute(const Simulator&, core::ProcId,
                                     core::NodeId) {}
 void ScheduleController::on_steal(const Simulator&, core::ProcId,
@@ -44,41 +42,10 @@ bool RandomController::awake(const Simulator&, core::ProcId) {
 
 core::ProcId RandomController::pick_victim(const Simulator& sim,
                                            core::ProcId thief) {
-  const std::uint32_t procs = sim.num_procs();
-  if (procs <= 1) return thief;  // nobody to steal from
-  switch (victim_policy_) {
-    case core::VictimPolicy::LastVictim: {
-      // Affinity: retry the last productive victim while it still has
-      // work; no RNG draw is spent on the retry. Falls through to the
-      // uniform draw when there is no (or an emptied) remembered victim.
-      const core::ProcId last = last_victim_[thief];
-      if (last != thief && !sim.deque_empty(last)) return last;
-      break;
-    }
-    case core::VictimPolicy::Nearest:
-      // Deterministic ring scan by index distance; declines the round when
-      // every other deque is empty (no RNG draws at all).
-      for (core::ProcId d = 1; d < procs; ++d) {
-        const core::ProcId v = (thief + d) % procs;
-        if (!sim.deque_empty(v)) return v;
-      }
-      return thief;
-    case core::VictimPolicy::Uniform:
-      break;
-  }
-  if (!steal_nonempty_only_) {
-    // Faithful ABP: uniform over the other processors; may fail.
-    auto v = static_cast<core::ProcId>(rng_.below(procs - 1));
-    if (v >= thief) ++v;
-    return v;
-  }
-  // Uniform over processors with non-empty deques.
-  candidates_.clear();
-  candidates_.reserve(procs);
-  for (core::ProcId q = 0; q < procs; ++q)
-    if (q != thief && !sim.deque_empty(q)) candidates_.push_back(q);
-  if (candidates_.empty()) return thief;
-  return candidates_[rng_.below(candidates_.size())];
+  return core::pick_victim(
+      victim_policy_, thief, sim.num_procs(), last_victim_[thief],
+      steal_nonempty_only_, rng_,
+      [&sim](core::ProcId v) { return sim.deque_empty(v); });
 }
 
 void RandomController::on_steal(const Simulator&, core::ProcId thief,
@@ -89,13 +56,7 @@ void RandomController::on_steal(const Simulator&, core::ProcId thief,
 
 ScriptController& ScriptController::sleep_after(const std::string& role,
                                                 core::ProcId p) {
-  pending_rules_.push_back({role, p, true});
-  return *this;
-}
-
-ScriptController& ScriptController::wake_after(const std::string& role,
-                                               core::ProcId p) {
-  pending_rules_.push_back({role, p, false});
+  pending_rules_.push_back({role, p});
   return *this;
 }
 
@@ -123,7 +84,7 @@ void ScriptController::on_start(const Simulator& sim) {
                 "schedule script references unknown role '" << r.role << "'");
     WSF_REQUIRE(r.proc < sim.num_procs(),
                 "schedule script references bad processor " << r.proc);
-    triggers_[v].push_back({r.proc, r.sleep});
+    triggers_[v].push_back(r.proc);
   }
 }
 
@@ -147,7 +108,7 @@ void ScriptController::on_execute(const Simulator&, core::ProcId,
                                   core::NodeId v) {
   auto it = triggers_.find(v);
   if (it == triggers_.end()) return;
-  for (const auto& [proc, sleep] : it->second) asleep_[proc] = sleep ? 1 : 0;
+  for (const core::ProcId proc : it->second) asleep_[proc] = 1;
 }
 
 }  // namespace wsf::sched

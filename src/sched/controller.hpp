@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/ids.hpp"
@@ -30,13 +29,13 @@ class ScheduleController {
   virtual ~ScheduleController() = default;
 
   /// Called once before the first round.
-  virtual void on_start(const Simulator& sim);
+  virtual void on_start(const Simulator& sim) = 0;
 
   /// Whether processor p takes an action this round.
-  virtual bool awake(const Simulator& sim, core::ProcId p);
+  virtual bool awake(const Simulator& sim, core::ProcId p) = 0;
 
-  /// Victim for a steal attempt by `thief`; return core::kInvalidThread…
-  /// (we reuse ProcId semantics: return thief itself to skip the attempt).
+  /// Victim for a steal attempt by `thief`, or `thief` itself to decline
+  /// the round.
   virtual core::ProcId pick_victim(const Simulator& sim,
                                    core::ProcId thief) = 0;
 
@@ -49,8 +48,10 @@ class ScheduleController {
                         core::ProcId victim, core::NodeId v);
 };
 
-/// Uniform random work stealing with optional stall injection, the model
-/// behind the expectation bounds. Deterministic given the seed.
+/// Random work stealing with optional stall injection, the model behind the
+/// expectation bounds. Victims come from core::pick_victim, the chooser the
+/// runtime shares, with exact deque emptiness and this controller's own
+/// random stream. Deterministic given the seed.
 class RandomController : public ScheduleController {
  public:
   RandomController(std::uint64_t seed, double stall_prob,
@@ -77,9 +78,6 @@ class RandomController : public ScheduleController {
   double stall_prob_;
   bool steal_nonempty_only_;
   core::VictimPolicy victim_policy_;
-  /// Scratch for pick_victim's non-empty-deque scan, kept across rounds so
-  /// the steal hot path stays allocation-free after the first call.
-  std::vector<core::ProcId> candidates_;
   /// Per-thief last successful victim (VictimPolicy::LastVictim); sized at
   /// on_start. An entry equal to the thief's own index means "none yet".
   std::vector<core::ProcId> last_victim_;
@@ -88,7 +86,6 @@ class RandomController : public ScheduleController {
 /// Scripted adversarial controller driven by node roles. Rules:
 ///   * sleep_after(role, p): p goes to sleep right after the node tagged
 ///     `role` is executed (by anyone);
-///   * wake_after(role, p): p wakes right after `role` executes;
 ///   * sleep_now(p): p starts asleep;
 ///   * prefer_victim(thief, victims...): steal priority order — the first
 ///     victim with a non-empty deque is chosen; with no preference (or all
@@ -99,7 +96,6 @@ class RandomController : public ScheduleController {
 class ScriptController : public ScheduleController {
  public:
   ScriptController& sleep_after(const std::string& role, core::ProcId p);
-  ScriptController& wake_after(const std::string& role, core::ProcId p);
   ScriptController& sleep_now(core::ProcId p);
   ScriptController& prefer_victim(core::ProcId thief,
                                   std::vector<core::ProcId> victims);
@@ -114,15 +110,13 @@ class ScriptController : public ScheduleController {
   struct PendingRule {
     std::string role;
     core::ProcId proc;
-    bool sleep;  // false = wake
   };
   std::vector<PendingRule> pending_rules_;
   std::vector<core::ProcId> initially_asleep_;
   std::unordered_map<core::ProcId, std::vector<core::ProcId>> victim_pref_;
 
-  // Resolved at on_start:
-  std::unordered_map<core::NodeId, std::vector<std::pair<core::ProcId, bool>>>
-      triggers_;
+  // Resolved at on_start: the processors each node puts to sleep.
+  std::unordered_map<core::NodeId, std::vector<core::ProcId>> triggers_;
   std::vector<char> asleep_;
 };
 

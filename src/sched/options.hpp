@@ -62,12 +62,14 @@ struct SimOptions {
   bool steal_nonempty_only = true;
 
   /// How much a thief claims per successful steal: one node (the paper's
-  /// parsimonious model) or up to half the victim's deque (the steal-half
-  /// amortization). Extra claimed nodes land on the thief's own deque; the
-  /// steal still costs one round.
+  /// parsimonious model) or half the victim's deque rounded up, at most 16
+  /// (the steal-half amortization; core::steal_claim, the runtime's rule
+  /// too). Extra claimed nodes land on the thief's own deque; the steal
+  /// still costs one round.
   core::StealPolicy steal_policy = core::StealPolicy::One;
   /// How the default random controller picks victims: uniform random (the
-  /// paper's model), last-victim affinity, or nearest-neighbor scan.
+  /// paper's model), last-victim affinity, or nearest-neighbor scan
+  /// (core::pick_victim, the runtime's chooser too).
   core::VictimPolicy victim_policy = core::VictimPolicy::Uniform;
 
   /// Cache lines per processor (C); 0 disables cache simulation.

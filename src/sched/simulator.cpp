@@ -156,33 +156,32 @@ void Simulator::try_steal(core::ProcId p) {
     return;
   }
   ++result_.steal_attempts;
-  if (deques_[victim].empty()) {
+  support::RingDeque<core::NodeId>& from = deques_[victim];
+  if (from.empty()) {
     ++result_.failed_steals;
     return;
   }
-  const std::size_t observed = deques_[victim].size();
-  const core::NodeId stolen = deques_[victim].front();  // top of the deque
-  deques_[victim].pop_front();
+  const std::size_t claim = core::steal_claim(opts_.steal_policy, from.size());
+  const core::NodeId stolen = from.front();  // top of the deque
+  from.pop_front();
   ++result_.steals;
   if (opts_.record_trace) result_.stolen_nodes.push_back(stolen);
   current_[p] = stolen;  // executed next round (a steal costs one round)
-  if (opts_.steal_policy == core::StealPolicy::Half && observed >= 2) {
-    // Steal-half: the same operation also claims the rest of the victim's
-    // top half — ceil(observed/2) nodes total, the first of which is
-    // `stolen`. The extras land on the thief's deque (empty by the run
-    // loop's precondition) ordered exactly as the runtime's batch steal:
-    // the thief's own pops run them oldest-first, while its deque top
-    // holds the newest extra for onward thieves.
-    const std::size_t extras = (observed + 1) / 2 - 1;
+  if (claim > 1) {
+    // Steal-half: the rest of the claim comes off the top in the same
+    // operation. It lands on the thief's deque (empty by the run loop's
+    // precondition) ordered exactly as the runtime's batch steal: the
+    // thief's own pops run them oldest-first, while its deque top holds the
+    // newest extra for onward thieves.
     WSF_DCHECK(deques_[p].empty(), "batch extras onto a non-empty deque");
-    for (std::size_t i = 0; i < extras; ++i) {
-      const core::NodeId e = deques_[victim].front();
-      deques_[victim].pop_front();
+    for (std::size_t i = 1; i < claim; ++i) {
+      const core::NodeId e = from.front();
+      from.pop_front();
       if (opts_.record_trace) result_.stolen_nodes.push_back(e);
       deques_[p].push_front(e);  // reverses: oldest extra ends at the bottom
     }
     ++result_.batch_steals;
-    result_.batch_stolen_items += extras;
+    result_.batch_stolen_items += claim - 1;
   }
   controller_->on_steal(*this, p, victim, stolen);
 }

@@ -42,8 +42,10 @@ struct SimResult {
   /// Theorems 8/9 reason about.
   std::uint64_t steal_attempts = 0;
   std::uint64_t failed_steals = 0;
-  /// Steal operations that claimed two or more nodes (steal-half batches).
-  /// Zero under StealPolicy::One.
+  /// Steal operations that claimed two or more nodes (steal-half batches,
+  /// sized by core::steal_claim; a steal from a 2-node deque claims one
+  /// node and is no batch), as the runtime's WorkerCounters::batch_steals.
+  /// Zero under StealPolicy::One; never more than batch_stolen_items.
   std::uint64_t batch_steals = 0;
   /// Nodes claimed beyond the first across all batch steals; every steal's
   /// first node is counted in `steals`, so nodes moved between deques

@@ -90,11 +90,4 @@ double median(std::vector<double> samples) {
   return (samples[mid - 1] + hi) / 2.0;
 }
 
-double mean_of(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  double s = 0;
-  for (double x : samples) s += x;
-  return s / static_cast<double>(samples.size());
-}
-
 }  // namespace wsf::support

@@ -59,7 +59,4 @@ LinearFit fit_loglog(const std::vector<double>& xs,
 /// Median of a copy of the samples (empty input yields 0).
 double median(std::vector<double> samples);
 
-/// Convenience: arithmetic mean of a vector (empty input yields 0).
-double mean_of(const std::vector<double>& samples);
-
 }  // namespace wsf::support

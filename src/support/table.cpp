@@ -500,8 +500,4 @@ Table Table::from_json(const std::string& json) {
   return table;
 }
 
-void Table::print(const std::string& title) const {
-  std::printf("%s\n%s\n", title.c_str(), to_string().c_str());
-}
-
 }  // namespace wsf::support

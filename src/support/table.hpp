@@ -83,9 +83,6 @@ class Table {
   /// missing (empty) cell. Throws wsf::CheckError on malformed input.
   static Table from_json(const std::string& json);
 
-  /// Convenience: print to stdout with a title line.
-  void print(const std::string& title) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

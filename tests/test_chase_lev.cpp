@@ -112,24 +112,27 @@ TEST(ChaseLev, StressOwnerVsThieves) {
 
 TEST(ChaseLev, StealBatchSequential) {
   ChaseLevDeque<IntPtr> d;
-  int v[5] = {0, 1, 2, 3, 4};
+  int v[6] = {0, 1, 2, 3, 4, 5};
   for (int& x : v) d.push_bottom(&x);
-  // Half of 5 rounded up = 3, oldest-first; the bound caps the claim.
+  // The caller sizes the claim (core::steal_claim): up to max_n items,
+  // oldest-first, with no halving of its own.
   std::vector<IntPtr> out;
-  EXPECT_EQ(d.steal_batch(out, 16), 3u);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], &v[0]);
-  EXPECT_EQ(out[1], &v[1]);
-  EXPECT_EQ(out[2], &v[2]);
+  EXPECT_EQ(d.steal_batch(out, 4), 4u);
+  ASSERT_EQ(out.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], &v[i]);
   out.clear();
-  EXPECT_EQ(d.steal_batch(out, 1), 1u);  // max_n binds below half
-  EXPECT_EQ(out[0], &v[3]);
-  out.clear();
-  EXPECT_EQ(d.steal_batch(out, 16), 1u);  // 1-element deque still yields 1
+  EXPECT_EQ(d.steal_batch(out, 1), 1u);  // a claim of one is steal_top
   EXPECT_EQ(out[0], &v[4]);
+  out.clear();
+  EXPECT_EQ(d.steal_batch(out, 16), 1u);  // stops when the deque empties
+  EXPECT_EQ(out[0], &v[5]);
   out.clear();
   EXPECT_EQ(d.steal_batch(out, 16), 0u);  // empty
   EXPECT_TRUE(out.empty());
+  d.push_bottom(&v[0]);
+  EXPECT_EQ(d.steal_batch(out, 0), 0u);  // a claim of zero takes nothing
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(d.pop_bottom(), &v[0]);
 }
 
 TEST(ChaseLev, StressOwnerVsBatchThieves) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -14,10 +15,14 @@
 
 #include "support/check.hpp"
 
+#include "core/builder.hpp"
+#include "core/policy.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/sweep.hpp"
 #include "graphs/registry.hpp"
 #include "sched/harness.hpp"
+#include "sched/simulator.hpp"
+#include "support/rng.hpp"
 
 namespace wsf {
 namespace {
@@ -167,6 +172,145 @@ TEST(ForkPolicyParsing, RejectsUnknownNames) {
   for (const ForkPolicy p : {ForkPolicy::FutureFirst, ForkPolicy::ParentFirst})
     EXPECT_EQ(core::fork_policy_from_string(core::to_string(p)), p);
   EXPECT_THROW(core::fork_policy_from_string("futurefirst"), CheckError);
+}
+
+// core::pick_victim is the one victim chooser of the simulator and the
+// runtime. Each row gives a thief, a fake emptiness array ('x' = empty
+// deque) and the remembered victim, and either a fixed answer that draws
+// nothing or kDraws: one uniform draw over the other processors (with
+// nonempty_only, over those with work), the way a candidate list indexed
+// by rng.below would choose.
+TEST(StealPolicy, PickVictimRules) {
+  using core::VictimPolicy;
+  constexpr core::ProcId kDraws = ~core::ProcId{0};
+  struct Row {
+    const char* what;
+    VictimPolicy policy;
+    core::ProcId thief;
+    std::string empty;
+    core::ProcId last;
+    bool nonempty_only;
+    core::ProcId expect;
+  };
+  const std::vector<Row> rows = {
+      {"one processor declines", VictimPolicy::Uniform, 0, ".", 0, false, 0},
+      {"one processor, last-victim", VictimPolicy::LastVictim, 0, ".", 0,
+       true, 0},
+      {"one processor, nearest", VictimPolicy::Nearest, 0, ".", 0, false, 0},
+      {"uniform over every other", VictimPolicy::Uniform, 1, "x.x.", 1, false,
+       kDraws},
+      {"uniform over the non-empty", VictimPolicy::Uniform, 1, "..x.x", 1,
+       true, kDraws},
+      {"uniform, nothing to steal", VictimPolicy::Uniform, 2, "xx.x", 2, true,
+       2},
+      {"uniform may pick an empty deque", VictimPolicy::Uniform, 2, "xxxx", 2,
+       false, kDraws},
+      {"last victim with work", VictimPolicy::LastVictim, 0, "..x.", 3, false,
+       3},
+      {"last victim emptied: uniform", VictimPolicy::LastVictim, 0, "...x", 3,
+       false, kDraws},
+      {"last victim emptied: uniform non-empty", VictimPolicy::LastVictim, 0,
+       "..xx", 3, true, kDraws},
+      {"no last victim: uniform", VictimPolicy::LastVictim, 1, "....", 1,
+       false, kDraws},
+      {"nearest skips empty neighbours", VictimPolicy::Nearest, 2, "..xx.", 2,
+       false, 4},
+      {"nearest wraps", VictimPolicy::Nearest, 3, ".xxx", 3, false, 0},
+      {"nearest, every deque empty", VictimPolicy::Nearest, 1, "x.xx", 1,
+       false, 1},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    const auto procs = static_cast<std::uint32_t>(row.empty.size());
+    const auto is_empty = [&](core::ProcId v) { return row.empty[v] == 'x'; };
+    std::vector<core::ProcId> candidates;
+    for (core::ProcId q = 0; q < procs; ++q)
+      if (q != row.thief && !(row.nonempty_only && is_empty(q)))
+        candidates.push_back(q);
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      support::Xoshiro256 rng(seed);
+      support::Xoshiro256 twin(seed);
+      const core::ProcId got =
+          core::pick_victim(row.policy, row.thief, procs, row.last,
+                            row.nonempty_only, rng, is_empty);
+      if (row.expect == kDraws)
+        EXPECT_EQ(got, candidates[twin.below(candidates.size())]);
+      else
+        EXPECT_EQ(got, row.expect);
+      EXPECT_EQ(rng.next(), twin.next()) << "draws differ, seed " << seed;
+    }
+  }
+}
+
+TEST(StealPolicy, StealClaimRule) {
+  const std::size_t observed[] = {0, 1, 2, 3, 32, 33, 1000};
+  const std::size_t half[] = {0, 1, 1, 2, 16, 16, 16};
+  for (std::size_t i = 0; i < std::size(observed); ++i) {
+    EXPECT_EQ(core::steal_claim(core::StealPolicy::One, observed[i]), 1u);
+    EXPECT_EQ(core::steal_claim(core::StealPolicy::Half, observed[i]),
+              half[i])
+        << "observed " << observed[i];
+  }
+  EXPECT_EQ(core::kMaxStealBatch, 16u);
+}
+
+// Processor 1 sleeps through the first `wake` rounds; then each processor
+// with an empty deque steals from the other. Records every steal's claim
+// and the victim deque size it met.
+class LateThief : public sched::ScheduleController {
+ public:
+  explicit LateThief(std::uint64_t wake) : wake_(wake) {}
+  void on_start(const sched::Simulator&) override {}
+  bool awake(const sched::Simulator& sim, core::ProcId p) override {
+    return p == 0 || sim.round() >= wake_;
+  }
+  core::ProcId pick_victim(const sched::Simulator& sim,
+                           core::ProcId thief) override {
+    const core::ProcId other = 1 - thief;
+    return sim.deque_empty(other) ? thief : other;
+  }
+  void on_steal(const sched::Simulator& sim, core::ProcId thief,
+                core::ProcId victim, core::NodeId) override {
+    const std::size_t claim = sim.deque_of(thief).size() + 1;
+    claims.push_back(claim);
+    observed.push_back(sim.deque_of(victim).size() + claim);
+  }
+  std::vector<std::size_t> claims;
+  std::vector<std::size_t> observed;
+
+ private:
+  std::uint64_t wake_;
+};
+
+TEST(StealPolicy, SimulatorCapsAStealHalfClaimAt16) {
+  // A parent-first main thread forks 64 one-node futures, pushing each, so
+  // the thief's first steal meets a deque of 40 nodes.
+  core::GraphBuilder b;
+  const core::ThreadId main = b.main_thread();
+  std::vector<core::ThreadId> futures;
+  for (int i = 0; i < 64; ++i) futures.push_back(b.fork(main).future_thread);
+  b.step(main);
+  for (const core::ThreadId f : futures) b.touch(main, f);
+  const core::Graph g = b.finish();
+
+  for (const auto steal : {core::StealPolicy::One, core::StealPolicy::Half}) {
+    sched::SimOptions opts;
+    opts.procs = 2;
+    opts.policy = ForkPolicy::ParentFirst;
+    opts.steal_policy = steal;
+    LateThief thief(40);
+    const sched::SimResult r = sched::simulate(g, opts, &thief);
+    ASSERT_FALSE(thief.claims.empty());
+    EXPECT_EQ(thief.observed[0], 40u);
+    EXPECT_EQ(thief.claims[0], steal == core::StealPolicy::Half ? 16u : 1u);
+    std::uint64_t extras = 0;
+    for (std::size_t i = 0; i < thief.claims.size(); ++i) {
+      EXPECT_EQ(thief.claims[i], core::steal_claim(steal, thief.observed[i]));
+      extras += thief.claims[i] - 1;
+    }
+    EXPECT_EQ(r.steals, thief.claims.size());
+    EXPECT_EQ(r.batch_stolen_items, extras);
+  }
 }
 
 TEST(RunSweep, UnknownFamilySurfacesAsCheckError) {

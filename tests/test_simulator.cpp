@@ -332,6 +332,40 @@ TEST(Accounting, ProcessorRoundGridIsConsistent) {
   }
 }
 
+TEST(Accounting, BatchStealsCountOnlyClaimsOfTwoOrMoreNodes) {
+  // Steal-half from a 2-node deque claims one node (core::steal_claim), so
+  // it is no batch. At P = 2 every steal of forkjoin meets such a deque.
+  const auto forkjoin = graphs::make_named("forkjoin", {.size = 8, .size2 = 3});
+  SimOptions opts;
+  opts.procs = 2;
+  opts.stall_prob = 0.2;
+  opts.steal_policy = core::StealPolicy::Half;
+  std::uint64_t batches = 0;
+  std::uint64_t items = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    opts.seed = seed;
+    const auto r = sched::simulate(forkjoin.graph, opts);
+    batches += r.batch_steals;
+    items += r.batch_stolen_items;
+  }
+  EXPECT_EQ(batches, 0u);
+  EXPECT_EQ(items, 0u);
+
+  // Every batch claims at least one node beyond the first, and the stolen
+  // node trace holds each steal's first node plus its extras.
+  for (const auto& name : graphs::registry_names()) {
+    const auto gen = graphs::make_named(name, {.size = 6, .size2 = 3});
+    for (const std::uint32_t procs : {2u, 4u, 8u}) {
+      opts.procs = procs;
+      opts.seed = 3;
+      const auto r = sched::simulate(gen.graph, opts);
+      EXPECT_GE(r.batch_stolen_items, r.batch_steals) << name << " P=" << procs;
+      EXPECT_EQ(r.stolen_nodes.size(), r.steals + r.batch_stolen_items)
+          << name << " P=" << procs;
+    }
+  }
+}
+
 TEST(Accounting, BitIdenticalResultForSameSeed) {
   const auto gen = graphs::make_named("fig6b", {.size = 3, .size2 = 4,
                                                 .cache_lines = 4});
